@@ -28,14 +28,18 @@ statics:
 	$(PYTHON) -m repro statics src tests
 
 # Whole-program flow rules (FLOW001/MSG001/MSG002/DET005) over the
-# sharded actor packages, pragma-free — the CI gate, locally.  Summaries
-# are cached content-keyed under .repro-cache/statics-flow, so warm
+# sharded actor packages and the deployment wiring that sends into
+# their mailboxes, pragma-free.  CI runs this very target, passing
+# --cache-dir/--sarif through STATICS_FLOW_ARGS.  Summaries are cached
+# content-keyed under .repro-cache/statics-flow by default, so warm
 # re-runs are milliseconds.
+STATICS_FLOW_ARGS ?=
 statics-flow:
-	$(PYTHON) -m repro statics --flow --forbid-pragmas \
+	$(PYTHON) -m repro statics --flow --forbid-pragmas $(STATICS_FLOW_ARGS) \
 	    src/repro/sim/shard.py src/repro/core/sharded.py \
-	    src/repro/core/aggregation.py src/repro/service \
-	    src/repro/updates
+	    src/repro/core/aggregation.py src/repro/core/deployment.py \
+	    src/repro/core/builder.py src/repro/core/observer.py \
+	    src/repro/service src/repro/updates
 
 typecheck:
 	mypy

@@ -18,8 +18,8 @@ Layering (mirroring §4–§6 of the paper):
 * :mod:`~repro.core.deployment` — one-call wiring of all of the above
   onto a simulated network (including partial deployment, §10).
 
-Most users only need :func:`deploy` (sugar over
-:class:`SpeedlightDeployment`, which stays the primitive)::
+Most users only need :func:`deploy`, the keyword front end of the
+config-only :class:`SpeedlightDeployment` constructor::
 
     net = Network(leaf_spine())
     sl = deploy(net, metric="packet_count", channel_state=True)

@@ -303,8 +303,8 @@ class AggregationAgent:
         self.expected_local = 0
         #: The co-resident control plane (progress-floor source).
         self.control_plane: Optional[SwitchControlPlane] = None
-        #: Upward sender (installed by the deployment: mgmt to the local
-        #: parent agent, cross-shard mailbox, or the observer intake).
+        #: Upward sender toward the tree parent (or the observer intake
+        #: at the root), installed by the deployment.
         self.send_up: Optional[Callable[[AggregateMessage], None]] = None
         #: Downward initiation forwarder: ``forward(child, epoch, at)``.
         self.forward_init: Optional[Callable[[str, int, int], None]] = None
@@ -456,19 +456,22 @@ class AggregationFabric:
     config: AggregationConfig
     #: None in flat-modeled mode (``degree=0``).
     tree: Optional[AggregationTree]
+    #: The observer-side intake channel (idle on non-observer shards,
+    #: like their observer).
+    intake: RelayChannel
     #: Locally hosted agents by switch name (a shard sees only its own).
     agents: dict[str, AggregationAgent] = field(default_factory=dict)
-    #: The observer-side intake channel (None on non-observer shards).
-    intake: Optional[RelayChannel] = None
 
     def stats(self) -> dict[str, int]:
         """Fabric health counters, aggregated across local agents and
         the intake — the ``agg_knee`` sustained-rate criteria."""
+        intake = self.intake
         out = {"messages": 0, "dropped": 0, "backlog": 0, "max_backlog": 0,
                "records_forwarded": 0, "records_lost": 0,
-               "partial_flushes": 0, "intake_processed": 0,
-               "intake_backlog": 0, "intake_max_backlog": 0,
-               "intake_dropped": 0}
+               "partial_flushes": 0, "intake_processed": intake.processed,
+               "intake_backlog": intake.backlog,
+               "intake_max_backlog": intake.max_backlog,
+               "intake_dropped": intake.dropped}
         for name in sorted(self.agents):
             agent = self.agents[name]
             out["messages"] += agent.channel.processed
@@ -479,9 +482,4 @@ class AggregationFabric:
             out["records_forwarded"] += agent.records_forwarded
             out["records_lost"] += agent.records_lost
             out["partial_flushes"] += agent.partial_flushes
-        if self.intake is not None:
-            out["intake_processed"] = self.intake.processed
-            out["intake_backlog"] = self.intake.backlog
-            out["intake_max_backlog"] = self.intake.max_backlog
-            out["intake_dropped"] = self.intake.dropped
         return out

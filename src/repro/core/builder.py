@@ -17,9 +17,9 @@ coordinated update plans) compose::
 Passing a :class:`~repro.sim.shard.ShardWorker` instead of a
 :class:`~repro.sim.network.Network` builds the cross-shard variant
 (:class:`~repro.core.sharded.ShardedSpeedlightDeployment`) with the
-same surface.  The constructors remain the primitive — ``deploy`` is
-sugar plus update wiring, nothing else — so existing code keeps
-working unchanged.
+same surface.  The constructors take a
+:class:`~repro.core.deployment.DeploymentConfig` only; ``deploy`` is
+their keyword front end plus update wiring, nothing else.
 """
 
 from __future__ import annotations
@@ -54,23 +54,17 @@ def _compile_updates(network: Network, updates: Any,
     return updates.compile(ctx)
 
 
-def deploy(target, *, metric: str = "packet_count",
-           channel_state: bool = False, max_sid: Optional[int] = 255,
-           switches: Optional[list] = None, ideal_units: bool = False,
-           gate_host_channels: bool = False,
-           cos_classes: Optional[list] = None,
-           control_plane=None, observer=None, aggregation=None,
-           recovery=None, updates=None,
-           update_horizon_ns: Optional[int] = None,
-           update_seed: int = 0) -> SpeedlightDeployment:
+def deploy(target, *, updates: Any = None,
+           update_horizon_ns: Optional[int] = None, update_seed: int = 0,
+           **config_fields: Any) -> SpeedlightDeployment:
     """Wire a Speedlight deployment onto ``target`` in one call.
 
     ``target`` is a :class:`~repro.sim.network.Network` (single-process)
     or a :class:`~repro.sim.shard.ShardWorker` (space-parallel; builds
-    the sharded deployment).  Keyword arguments mirror
-    :class:`~repro.core.deployment.DeploymentConfig` field-for-field;
-    ``control_plane``/``observer`` default to the config's defaults when
-    None.
+    the sharded deployment).  Every keyword other than the three
+    ``update*`` ones is a
+    :class:`~repro.core.deployment.DeploymentConfig` field, passed
+    through as given; fields left out keep the config's defaults.
 
     ``updates`` accepts an :class:`~repro.updates.plan.UpdatePlan`, its
     JSON form, or a pre-compiled
@@ -83,16 +77,7 @@ def deploy(target, *, metric: str = "packet_count",
     :meth:`~repro.updates.plan.UpdateSchedule.restrict` and pass the
     slice).
     """
-    config_kwargs: dict[str, Any] = dict(
-        metric=metric, channel_state=channel_state, max_sid=max_sid,
-        switches=switches, ideal_units=ideal_units,
-        gate_host_channels=gate_host_channels, cos_classes=cos_classes,
-        aggregation=aggregation, recovery=recovery)
-    if control_plane is not None:
-        config_kwargs["control_plane"] = control_plane
-    if observer is not None:
-        config_kwargs["observer"] = observer
-    config = DeploymentConfig(**config_kwargs)
+    config = DeploymentConfig(**config_fields)
 
     if isinstance(target, Network):
         network = target

@@ -85,11 +85,8 @@ class SpeedlightUnit:
 
         self._sid = 0  # wrapped; registers power up at zero (§6)
         self.last_seen: dict[int, int] = {}
-        if id_space.size is not None:
-            self._slots: dict[int, SnapshotSlot] = {
-                i: SnapshotSlot() for i in range(id_space.size)}
-        else:
-            self._slots = {}
+        #: Snapshot Value registers, allocated on first touch.
+        self._slots: dict[int, SnapshotSlot] = {}
         self.packets_seen = 0
         self.notifications_emitted = 0
 
@@ -152,7 +149,7 @@ class SpeedlightUnit:
     # ------------------------------------------------------------------
     def _slot(self, wrapped_sid: int) -> SnapshotSlot:
         slot = self._slots.get(wrapped_sid)
-        if slot is None:  # unbounded spaces allocate lazily
+        if slot is None:
             slot = self._slots[wrapped_sid] = SnapshotSlot()
         return slot
 

@@ -88,12 +88,11 @@ class SnapshotObserver:
         self.retry_fabric_sends = 0
         self.retry_subtree_sends = 0
         #: Aggregation-fabric hooks (installed by the deployment when an
-        #: aggregation tree is wired; see :meth:`attach_fabric`).  All
-        #: None/0 means the flat unicast design — byte-identical event
-        #: stream to the pre-aggregation observer.
-        self.initiate_via_fabric: Optional[Callable[[int, int], None]] = None
+        #: aggregation tree is wired; see :meth:`attach_fabric`).  None
+        #: means the flat unicast design — byte-identical event stream
+        #: to the pre-aggregation observer.
         self.relay_tree: Optional["AggregationTree"] = None
-        self.retry_subtree: Optional[Callable[[str, int, int], None]] = None
+        self.initiate_subtree: Optional[Callable[[str, int, int], None]] = None
         #: Latest fabric-wide gating-min progress floor (MIN over every
         #: control plane's finalized epoch, reduced bottom-up).
         self.fabric_min_epoch = 0
@@ -140,23 +139,22 @@ class SnapshotObserver:
         for callback in self._resolution_callbacks:
             callback(snapshot)
 
-    def attach_fabric(self, initiate: Optional[Callable[[int, int], None]],
-                      tree: Optional["AggregationTree"],
-                      retry_subtree: Optional[
-                          Callable[[str, int, int], None]] = None) -> None:
-        """Wire the aggregation fabric (deployment-installed).
+    def attach_fabric(self, tree: "AggregationTree",
+                      initiate_subtree: Callable[[str, int, int], None]
+                      ) -> None:
+        """Wire the aggregation tree (deployment-installed).
 
-        ``initiate(epoch, at_wall_ns)`` replaces the N-unicast initiation
-        loop with one send to the tree root; ``tree`` lets the timeout
-        path attribute a silent subtree to its silent relay ancestor.
-        ``retry_subtree(device, epoch, at_wall_ns)`` re-initiates one
-        device's fabric subtree directly (bypassing its ancestors) —
-        when present, retry rounds route around silent relays at
-        O(fan-out) cost instead of unicasting to O(devices).
+        ``initiate_subtree(device, epoch, at_wall_ns)`` delivers an
+        initiation to one device's relay, which registers it and fans it
+        out below.  Initiating ``tree.root`` replaces the N-unicast
+        initiation loop with one send; initiating a silent relay's
+        children directly lets retry rounds route around it at
+        O(fan-out) cost instead of unicasting to O(devices).  ``tree``
+        also lets the timeout path attribute a silent subtree to its
+        silent relay ancestor.
         """
-        self.initiate_via_fabric = initiate
         self.relay_tree = tree
-        self.retry_subtree = retry_subtree
+        self.initiate_subtree = initiate_subtree
 
     # ------------------------------------------------------------------
     # Taking snapshots
@@ -184,11 +182,12 @@ class SnapshotObserver:
         snapshot = GlobalSnapshot(epoch=epoch, requested_wall_ns=at_wall,
                                   expected_units=expected)
         self.snapshots[epoch] = snapshot
-        if initiators is None and self.initiate_via_fabric is not None:
+        if (initiators is None and self.relay_tree is not None
+                and self.initiate_subtree is not None):
             # Aggregation fan-out: one send to the tree root; relays
             # forward down their children.  Explicit initiator subsets
             # (the Chandy-Lamport ablation) keep the unicast path.
-            self.initiate_via_fabric(epoch, at_wall)
+            self.initiate_subtree(self.relay_tree.root, epoch, at_wall)
         else:
             targets = (self.control_planes if initiators is None
                        else {n: self.control_planes[n] for n in initiators})
@@ -325,8 +324,7 @@ class SnapshotObserver:
         1 + culprits x (1 + fan-out) instead of O(devices).
         """
         tree = self.relay_tree
-        if (tree is None or self.initiate_via_fabric is None
-                or self.retry_subtree is None):
+        if tree is None or self.initiate_subtree is None:
             return False
         reported = {u.device for u in snapshot.records}
         silent_devices = sorted({u.device for u in snapshot.missing_units}
@@ -337,7 +335,7 @@ class SnapshotObserver:
             # may be down): no subtree to route around — unicast.
             return False
         silent_set = set(silent_devices)
-        self.initiate_via_fabric(snapshot.epoch, at_wall_ns)
+        self.initiate_subtree(tree.root, snapshot.epoch, at_wall_ns)
         self.retry_fabric_sends += 1
         for device in silent_devices:
             if any(a in silent_set for a in tree.ancestors(device)):
@@ -348,7 +346,7 @@ class SnapshotObserver:
                                snapshot.epoch, at_wall_ns)
                 self.retry_unicasts += 1
             for child in tree.children.get(device, ()):
-                self.retry_subtree(child, snapshot.epoch, at_wall_ns)
+                self.initiate_subtree(child, snapshot.epoch, at_wall_ns)
                 self.retry_subtree_sends += 1
         return True
 

@@ -256,8 +256,7 @@ def _check_kinds(kinds: Iterable[str]) -> None:
 @dataclass(frozen=True)
 class IndependentFaults(FaultProfile):
     """Faults drawn independently per (kind, target) — the classic
-    intensity profile (and the exact semantics of the deprecated
-    ``compile_profile``).
+    intensity profile.
 
     ``intensity`` is the expected number of events per (kind, target)
     over the window; times are uniform, durations exponential with mean

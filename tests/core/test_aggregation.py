@@ -112,7 +112,7 @@ class TestRecordConservation:
     def test_aggregation_off_wires_nothing(self):
         _, deployment = _deploy(None)
         assert deployment.aggregation is None
-        assert deployment.observer.initiate_via_fabric is None
+        assert deployment.observer.initiate_subtree is None
         assert deployment.observer.relay_tree is None
 
     def test_tree_run_is_deterministic(self):

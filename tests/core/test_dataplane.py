@@ -182,3 +182,11 @@ class TestRegisterAccess:
         unit = _unit()
         with pytest.raises(AssertionError):
             unit.process_packet(Packet(flow=FlowKey("a", "b", 1, 2)), 0, 0)
+
+    def test_slots_allocate_on_first_touch(self):
+        # A 4096-entry register file costs nothing until an ID is used.
+        unit = _unit(max_sid=4095)
+        assert len(unit._slots) == 0
+        slot = unit.read_slot(4000)
+        assert not slot.valid
+        assert (slot.value, slot.channel_state, slot.captured_ns) == (0, 0, 0)

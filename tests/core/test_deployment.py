@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import DeploymentConfig, SpeedlightDeployment
+from repro.core import DeploymentConfig, SpeedlightDeployment, deploy
 from repro.core.dataplane import SpeedlightUnit
 from repro.core.ideal import IdealUnit
 from repro.sim.engine import MS
@@ -18,7 +18,7 @@ def _net(topo=None, seed=1):
 class TestWiring:
     def test_agents_on_every_connected_unit(self):
         net = _net()
-        dep = SpeedlightDeployment(net, metric="packet_count")
+        dep = deploy(net, metric="packet_count")
         expected = sum(2 * len(sw.connected_ports())
                        for sw in net.switches.values())
         assert len(dep.agents) == expected
@@ -26,21 +26,15 @@ class TestWiring:
 
     def test_counters_installed_under_metric_name(self):
         net = _net()
-        SpeedlightDeployment(net, metric="byte_count")
+        deploy(net, metric="byte_count")
         for sw in net.switches.values():
             for port_index in sw.connected_ports():
                 assert "byte_count" in sw.ports[port_index].ingress.counters
 
-    def test_config_and_kwargs_mutually_exclusive(self):
-        net = _net()
-        with pytest.raises(TypeError):
-            SpeedlightDeployment(net, DeploymentConfig(), metric="byte_count")
-
     def test_gauge_metric_rejects_channel_state(self):
         net = _net()
         with pytest.raises(ValueError, match="gauge"):
-            SpeedlightDeployment(net, metric="queue_depth",
-                                 channel_state=True)
+            deploy(net, metric="queue_depth", channel_state=True)
 
     def test_unknown_in_flight_rule_rejected(self):
         net = _net()
@@ -51,8 +45,7 @@ class TestWiring:
         except ValueError:
             pass
         with pytest.raises(ValueError, match="in-flight"):
-            SpeedlightDeployment(net, metric="custom_metric",
-                                 channel_state=True)
+            deploy(net, metric="custom_metric", channel_state=True)
 
     def test_ideal_units_selected(self):
         net = _net()
@@ -63,7 +56,7 @@ class TestWiring:
 
     def test_queue_depth_binds_egress_gauge(self):
         net = _net(single_switch(num_hosts=2))
-        dep = SpeedlightDeployment(net, metric="queue_depth")
+        dep = deploy(net, metric="queue_depth")
         sw = net.switch("sw0")
         ingress = sw.ports[0].ingress.counters.get("queue_depth")
         assert ingress.read() == 0  # ingress units have no queue
@@ -72,16 +65,14 @@ class TestWiring:
 class TestGating:
     def test_no_gating_without_channel_state(self):
         net = _net()
-        dep = SpeedlightDeployment(net, metric="packet_count",
-                                   channel_state=False)
+        dep = deploy(net, metric="packet_count", channel_state=False)
         for cp in dep.control_planes.values():
             for tracker in cp.trackers.values():
                 assert tracker.gating == []
 
     def test_host_facing_ingress_not_gated(self):
         net = _net()
-        dep = SpeedlightDeployment(net, metric="packet_count",
-                                   channel_state=True)
+        dep = deploy(net, metric="packet_count", channel_state=True)
         cp = dep.control_planes["leaf0"]
         host_port = net.port_toward("leaf0", "server0")
         tracker = cp.trackers[UnitId("leaf0", host_port, Direction.INGRESS)]
@@ -89,8 +80,7 @@ class TestGating:
 
     def test_switch_facing_ingress_gated_on_external(self):
         net = _net()
-        dep = SpeedlightDeployment(net, metric="packet_count",
-                                   channel_state=True)
+        dep = deploy(net, metric="packet_count", channel_state=True)
         cp = dep.control_planes["leaf0"]
         uplink = net.port_toward("leaf0", "spine0")
         tracker = cp.trackers[UnitId("leaf0", uplink, Direction.INGRESS)]
@@ -98,8 +88,7 @@ class TestGating:
 
     def test_egress_gating_excludes_infeasible_channels(self):
         net = _net()
-        dep = SpeedlightDeployment(net, metric="packet_count",
-                                   channel_state=True)
+        dep = deploy(net, metric="packet_count", channel_state=True)
         cp = dep.control_planes["leaf0"]
         spine0_port = net.port_toward("leaf0", "spine0")
         spine1_port = net.port_toward("leaf0", "spine1")
@@ -153,7 +142,7 @@ class TestPartialDeployment:
 class TestConvenience:
     def test_notification_stats_aggregates(self):
         net = _net(single_switch(num_hosts=2))
-        dep = SpeedlightDeployment(net, metric="packet_count")
+        dep = deploy(net, metric="packet_count")
         dep.take_snapshot()
         net.run(until=200 * MS)
         stats = dep.notification_stats()
@@ -163,7 +152,7 @@ class TestConvenience:
 
     def test_sync_spread_requires_two_timestamps(self):
         net = _net(single_switch(num_hosts=2))
-        dep = SpeedlightDeployment(net, metric="packet_count")
+        dep = deploy(net, metric="packet_count")
         assert dep.sync_spread_ns(1) is None
         dep.take_snapshot()
         net.run(until=200 * MS)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis import ConsistencyChecker
 from repro.core import (ControlPlaneConfig, DeploymentConfig,
-                        SpeedlightDeployment)
+                        SpeedlightDeployment, deploy)
 from repro.sim.channel import BernoulliLoss
 from repro.sim.engine import MS, S
 from repro.sim.network import Network, NetworkConfig
@@ -33,7 +33,7 @@ class TestNoChannelState:
     def test_campaign_completes_and_conserves(self, traced_net):
         net = traced_net
         _traffic(net, 1 * S)
-        deployment = SpeedlightDeployment(net, metric="packet_count")
+        deployment = deploy(net, metric="packet_count")
         epochs = _run_campaign(net, deployment)
         snaps = deployment.observer.completed_snapshots()
         assert len(snaps) == len(epochs)
@@ -44,7 +44,7 @@ class TestNoChannelState:
     def test_byte_count_metric(self, traced_net):
         net = traced_net
         _traffic(net, 1 * S)
-        deployment = SpeedlightDeployment(net, metric="byte_count")
+        deployment = deploy(net, metric="byte_count")
         _run_campaign(net, deployment, count=5)
         snaps = deployment.observer.completed_snapshots()
         assert len(snaps) == 5
@@ -55,7 +55,7 @@ class TestNoChannelState:
     def test_monotone_totals_across_epochs(self, small_net):
         net = small_net
         _traffic(net, 1 * S)
-        deployment = SpeedlightDeployment(net, metric="packet_count")
+        deployment = deploy(net, metric="packet_count")
         _run_campaign(net, deployment, count=6)
         totals = [s.total_value()
                   for s in deployment.observer.completed_snapshots()]
@@ -159,7 +159,7 @@ class TestOtherTopologies:
     def test_fat_tree_snapshot(self):
         net = Network(fat_tree(k=4), NetworkConfig(seed=4))
         _traffic(net, 500 * MS, rate=300)
-        deployment = SpeedlightDeployment(net, metric="packet_count")
+        deployment = deploy(net, metric="packet_count")
         epoch = deployment.take_snapshot()
         net.run(until=500 * MS)
         snap = deployment.observer.snapshot(epoch)

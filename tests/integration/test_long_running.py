@@ -3,7 +3,7 @@
 
 from repro.analysis import CampaignSeries, ConsistencyChecker
 from repro.core import (ControlPlaneConfig, DeploymentConfig, ObserverConfig,
-                        SnapshotStatus, SpeedlightDeployment)
+                        SnapshotStatus, SpeedlightDeployment, deploy)
 from repro.sim.engine import MS, S
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.switch import Direction, SwitchConfig
@@ -108,7 +108,7 @@ class TestCampaignSeriesOverLiveData:
             seed=13, rate_pps=20_000, stop_ns=1 * S,
             pairs=[("server0", "server1")]))
         wl.start()
-        deployment = SpeedlightDeployment(net, metric="packet_count")
+        deployment = deploy(net, metric="packet_count")
         epochs = deployment.schedule_campaign(count=10, interval_ns=10 * MS)
         net.run(until=1 * S)
         snaps = deployment.observer.completed_snapshots()
