@@ -31,7 +31,8 @@ Four families run over the linked :class:`~repro.statics.graphs.Program`:
 
 Unlike the per-file pass, ``--flow`` analyses its input paths as *one
 program*: resolution quality depends on seeing callee and caller
-together, so CI runs it over the four actor packages in one invocation.
+together, so CI runs it over the actor packages in one invocation
+(``make statics-flow``).
 """
 
 from __future__ import annotations
