@@ -35,7 +35,7 @@ fingerprint: change the scenario, invalidate the cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from collections.abc import Sequence
 from typing import Any, Optional
 
@@ -134,7 +134,7 @@ def scenarios(config: FaultsConfig) -> list[tuple[str, FaultProfile]]:
     """The (label, profile) pairs this config sweeps."""
     if config.profile is not None:
         profile = FaultProfile.from_jsonable(config.profile)
-        return [(f"profile-{profile.profile_type}", profile)]
+        return [(f"profile-{profile.spec_type}", profile)]
     return [(f"iid-{intensity:g}",
              IndependentFaults(intensity=intensity,
                                kinds=tuple(config.kinds),
@@ -159,13 +159,12 @@ def _context_for(config: FaultsConfig) -> ProfileContext:
     if unknown:
         raise ValueError(
             f"fault_switches names unknown switch(es): {', '.join(unknown)}")
-    return ProfileContext(
-        horizon_ns=context.horizon_ns,
+    return replace(
+        context,
         links=tuple(link for link in context.links
                     if set(link.split("-")) & members),
         switches=tuple(s for s in context.switches if s in members),
-        clocks=tuple(c for c in context.clocks if c in members),
-        start_ns=context.start_ns, seed=context.seed)
+        clocks=tuple(c for c in context.clocks if c in members))
 
 
 @dataclass

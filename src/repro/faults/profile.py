@@ -37,13 +37,14 @@ Determinism contract
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from collections.abc import Iterable, Mapping
 from typing import Any, ClassVar, Optional
 
 from repro.faults.schedule import (FAULT_KINDS, INSTANT_KINDS, FaultSchedule,
                                    _default_params, _poisson)
 from repro.sim.engine import MS
+from repro.specs import Spec, SpecContext
 
 __all__ = [
     "Cascade",
@@ -57,7 +58,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ProfileContext:
+class ProfileContext(SpecContext):
     """Where and when a profile compiles: targets, window, seed.
 
     ``links``/``switches``/``clocks`` are the eligible targets of each
@@ -67,23 +68,9 @@ class ProfileContext:
     coherently.
     """
 
-    horizon_ns: int
     links: tuple[str, ...] = ()
     switches: tuple[str, ...] = ()
     clocks: tuple[str, ...] = ()
-    start_ns: int = 0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.horizon_ns <= 0:
-            raise ValueError(f"horizon_ns must be > 0, got {self.horizon_ns}")
-        if self.start_ns < 0:
-            raise ValueError(f"start_ns must be >= 0, got {self.start_ns}")
-        # Accept lists (e.g. straight from JSON) but store tuples.
-        for name in ("links", "switches", "clocks"):
-            value = getattr(self, name)
-            if not isinstance(value, tuple):
-                object.__setattr__(self, name, tuple(value))
 
     @classmethod
     def for_topology(cls, topo: Any, *, horizon_ns: int, start_ns: int = 0,
@@ -105,10 +92,6 @@ class ProfileContext:
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
-    @property
-    def end_ns(self) -> int:
-        return self.start_ns + self.horizon_ns
-
     def targets_for(self, kind: str) -> tuple[str, ...]:
         layer = FAULT_KINDS[kind]
         return {"link": self.links, "switch": self.switches,
@@ -155,7 +138,7 @@ class ProfileContext:
         can overshoot it — and ``duration_ns`` is clamped so the revert
         also lands inside the window (instant kinds are forced to 0).
         """
-        at = min(max(int(at_ns), self.start_ns), self.end_ns - 1)
+        at = self.clamp(at_ns)
         if kind in INSTANT_KINDS:
             duration = 0
         else:
@@ -168,81 +151,18 @@ class ProfileContext:
 # The profile algebra
 # ----------------------------------------------------------------------
 
-#: JSON ``type`` tag -> spec class, populated by ``__init_subclass__``.
-_PROFILE_TYPES: dict[str, type] = {}
-
-
-class FaultProfile:
+class FaultProfile(Spec):
     """Base of every profile spec.
 
-    Subclasses are frozen dataclasses with a ``profile_type`` class tag;
+    Subclasses are frozen dataclasses with a ``spec_type`` class tag;
     they implement :meth:`compile` and inherit JSON round-tripping and
-    the ``|`` composition operator.
+    the ``|`` composition operator from :class:`~repro.specs.Spec`.
     """
 
-    profile_type: ClassVar[str] = ""
+    noun: ClassVar[str] = "fault profile"
 
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        tag = cls.__dict__.get("profile_type", "")
-        if tag:
-            _PROFILE_TYPES[tag] = cls
-
-    # -- compilation ---------------------------------------------------
     def compile(self, ctx: ProfileContext) -> FaultSchedule:
         raise NotImplementedError
-
-    # -- composition ---------------------------------------------------
-    def __or__(self, other: "FaultProfile") -> "Compose":
-        if not isinstance(other, FaultProfile):
-            return NotImplemented
-        mine = self.parts if isinstance(self, Compose) else (self,)
-        theirs = other.parts if isinstance(other, Compose) else (other,)
-        return Compose(parts=mine + theirs)
-
-    __add__ = __or__
-
-    # -- serialization -------------------------------------------------
-    def to_jsonable(self) -> dict[str, Any]:
-        """Stable JSON form (``{"type": …, <fields>}``) — what rides in
-        trial params and on the ``--fault-profile`` CLI flag."""
-        data: dict[str, Any] = {"type": self.profile_type}
-        for f in fields(self):  # type: ignore[arg-type]
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            data[f.name] = value
-        return data
-
-    @staticmethod
-    def from_jsonable(data: Mapping[str, Any]) -> "FaultProfile":
-        """Reconstruct any registered spec (round-trip inverse of
-        :meth:`to_jsonable`)."""
-        if not isinstance(data, Mapping) or "type" not in data:
-            raise ValueError(
-                "a serialized FaultProfile is an object with a 'type' tag; "
-                f"got {data!r}")
-        tag = data["type"]
-        cls = _PROFILE_TYPES.get(tag)
-        if cls is None:
-            raise ValueError(
-                f"unknown fault profile type {tag!r} "
-                f"(known: {', '.join(sorted(_PROFILE_TYPES))})")
-        payload = {k: v for k, v in data.items() if k != "type"}
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown field(s) {', '.join(unknown)} for profile "
-                f"type {tag!r}")
-        return cls._from_fields(payload)
-
-    @classmethod
-    def _from_fields(cls, payload: dict[str, Any]) -> "FaultProfile":
-        for f in fields(cls):  # type: ignore[arg-type]
-            if f.name in payload and isinstance(payload[f.name], list):
-                payload[f.name] = tuple(payload[f.name])
-        return cls(**payload)  # type: ignore[call-arg]
 
 
 def _check_kinds(kinds: Iterable[str]) -> None:
@@ -265,7 +185,7 @@ class IndependentFaults(FaultProfile):
     kind never reshuffles the events of the others.
     """
 
-    profile_type: ClassVar[str] = "independent"
+    spec_type: ClassVar[str] = "independent"
 
     intensity: float = 0.0
     kinds: Optional[tuple[str, ...]] = None
@@ -320,7 +240,7 @@ class CorrelatedGroup(FaultProfile):
     uniform offsets (0 keeps the group simultaneous).
     """
 
-    profile_type: ClassVar[str] = "correlated"
+    spec_type: ClassVar[str] = "correlated"
 
     switch: Optional[str] = None
     at_ns: Optional[int] = None
@@ -377,7 +297,7 @@ class MaintenanceWindow(FaultProfile):
     rolling maintenance), for ``duration_ns``.
     """
 
-    profile_type: ClassVar[str] = "maintenance"
+    spec_type: ClassVar[str] = "maintenance"
 
     targets: tuple[str, ...] = ()
     kind: str = "link_down"
@@ -421,7 +341,7 @@ class Cascade(FaultProfile):
     context).
     """
 
-    profile_type: ClassVar[str] = "cascade"
+    spec_type: ClassVar[str] = "cascade"
 
     origin: Optional[str] = None
     probability: float = 0.5
@@ -494,7 +414,7 @@ class Compose(FaultProfile):
     removes exactly its events.
     """
 
-    profile_type: ClassVar[str] = "compose"
+    spec_type: ClassVar[str] = "compose"
 
     parts: tuple[FaultProfile, ...] = ()
 
@@ -510,12 +430,3 @@ class Compose(FaultProfile):
         for part in self.parts:
             events.extend(part.compile(ctx).events)
         return FaultSchedule(events=events)
-
-    def to_jsonable(self) -> dict[str, Any]:
-        return {"type": self.profile_type,
-                "parts": [part.to_jsonable() for part in self.parts]}
-
-    @classmethod
-    def _from_fields(cls, payload: dict[str, Any]) -> "Compose":
-        parts = payload.get("parts", [])
-        return cls(parts=tuple(FaultProfile.from_jsonable(p) for p in parts))

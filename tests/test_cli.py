@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
-from repro.cli import main
+from repro.cli import _apply_axes, build_parser, main
 
 
 class TestParser:
@@ -103,6 +105,95 @@ class TestFaultProfileFlag:
         assert main(["run", "table1", "--no-cache",
                      "--fault-profile", self.PROFILE]) == 2
         assert "does not accept a fault profile" in capsys.readouterr().err
+
+
+class TestUpdatePlanFlag:
+    PLAN = ('{"type": "timed_swap", "at_ns": 20000000, '
+            '"routes": [["leaf0", "server1", ["spine1"]]]}')
+
+    def test_plan_threads_into_the_updates_config(self, capsys):
+        # An uncached updates run is slow; the flag's whole effect is
+        # the config it leaves behind, so check that directly.
+        from repro.experiments.updates import UpdatesConfig, scenarios
+        from repro.updates import UpdatePlan
+
+        args = build_parser().parse_args(
+            ["run", "updates", "--update-plan", self.PLAN])
+        config = UpdatesConfig.quick()
+        assert _apply_axes(args, {"updates": config})
+        assert "[update plan applied to: updates]" in capsys.readouterr().err
+        assert config.plan == UpdatePlan.from_jsonable(
+            json.loads(self.PLAN)).to_jsonable()
+        [(label, _plan)] = scenarios(config)
+        assert label == "plan-timed_swap"
+
+    def test_bad_json_fails_cleanly(self, capsys):
+        assert main(["run", "updates", "--quick", "--no-cache",
+                     "--update-plan", "{not json"]) == 2
+        assert "--update-plan is neither a file nor valid JSON" in (
+            capsys.readouterr().err)
+
+    def test_unknown_plan_type_fails_cleanly(self, capsys):
+        assert main(["run", "updates", "--quick", "--no-cache",
+                     "--update-plan", '{"type": "nope"}']) == 2
+        assert "unknown update plan type" in capsys.readouterr().err
+
+    def test_experiment_without_plan_support_fails_cleanly(self, capsys):
+        assert main(["run", "table1", "--no-cache",
+                     "--update-plan", self.PLAN]) == 2
+        assert "does not accept an update plan" in capsys.readouterr().err
+
+
+class TestConfigAxes:
+    def test_fault_profile_becomes_the_recovery_sweep(self, capsys):
+        from repro.experiments.recovery import RecoveryConfig
+
+        profile = '{"type": "correlated", "at_ns": 25000000}'
+        args = build_parser().parse_args(
+            ["run", "recovery", "--fault-profile", profile])
+        config = RecoveryConfig()
+        assert _apply_axes(args, {"recovery": config})
+        assert "[fault profile applied to: recovery]" in (
+            capsys.readouterr().err)
+        [(label, stored)] = config.profiles.items()
+        assert label == "cli-profile"
+        assert stored["type"] == "correlated"
+        assert stored["at_ns"] == 25_000_000
+
+    def test_agg_degree_zero_is_applied(self, capsys):
+        from repro.experiments.scaling import ScalingConfig
+
+        args = build_parser().parse_args(
+            ["run", "scaling", "--agg-degree", "0"])
+        config = ScalingConfig.quick()
+        assert _apply_axes(args, {"scaling": config})
+        assert config.agg_degree == 0
+        assert "[agg degree 0 applied to: scaling]" in (
+            capsys.readouterr().err)
+
+    def test_experiment_without_agg_support_fails_cleanly(self, capsys):
+        assert main(["run", "table1", "--no-cache",
+                     "--agg-degree", "2"]) == 2
+        assert ("--agg-degree: table1 does not support the aggregation "
+                "fabric") in capsys.readouterr().err
+
+    def test_negative_agg_degree_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "scaling", "--no-cache", "--agg-degree", "-1"])
+        assert exc.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, refusal", [
+        ("--agg-degree", "2", "support the aggregation fabric"),
+        ("--update-plan", TestUpdatePlanFlag.PLAN, "accept an update plan"),
+        ("--shards", "2", "support sharded simulation"),
+    ])
+    def test_multi_experiment_refusal(self, capsys, flag, value, refusal):
+        assert main(["experiments", "--only", "table1,fig11", "--no-cache",
+                     flag, value]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag}: none of the selected experiments {refusal}" in err
+        assert "does not" not in err
 
 
 class TestShardsFlag:

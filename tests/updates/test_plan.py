@@ -71,8 +71,8 @@ class TestJsonRoundTrip:
         assert rt.waves == schedule.waves
 
     def test_unknown_plan_type_rejected(self):
-        with pytest.raises(ValueError):
-            UpdatePlan.from_jsonable({"plan_type": "nope", "fields": {}})
+        with pytest.raises(ValueError, match="unknown update plan type"):
+            UpdatePlan.from_jsonable({"type": "nope"})
 
 
 class TestCompile:
