@@ -121,6 +121,24 @@ class Report:
         }
 
 
+def apply_pragmas(report: Report, path: str, findings: Iterable[Finding],
+                  table: Optional[PragmaTable], active_rules: set[str],
+                  audit_unused: bool) -> None:
+    """Add one file's raw ``findings`` to ``report`` through its pragma
+    ``table``: allowed findings are counted as suppressed, the rest
+    kept; with ``audit_unused``, the file's allows for ``active_rules``
+    that suppressed nothing become PRAGMA002 findings.  Both the
+    per-file and the ``--flow`` pass apply pragmas through here."""
+    for finding in findings:
+        if table is not None and table.suppresses(finding):
+            report.suppressed += 1
+        else:
+            report.findings.append(finding)
+    if table is not None and audit_unused:
+        report.findings.extend(
+            table.unused_findings(path, active_rules=active_rules))
+
+
 def check_source(source: str, path: str, rules: Sequence[Rule], *,
                  scope: Optional[str] = None,
                  report_unused_pragmas: bool = True,
@@ -158,17 +176,10 @@ def check_source(source: str, path: str, rules: Sequence[Rule], *,
     for rule in rules:
         if rule.applies(ctx):
             raw.extend(rule.check(ctx))
-    for finding in raw:
-        if table.suppresses(finding):
-            report.suppressed += 1
-        else:
-            report.findings.append(finding)
     report.findings.extend(table.problems)
-    if report_unused_pragmas:
-        active = ({rule.id for rule in rules} if active_rules is None
-                  else active_rules)
-        report.findings.extend(
-            table.unused_findings(path, active_rules=active))
+    active = ({rule.id for rule in rules} if active_rules is None
+              else active_rules)
+    apply_pragmas(report, path, raw, table, active, report_unused_pragmas)
     report.findings.sort(key=Finding.sort_key)
     return report
 

@@ -40,12 +40,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.statics.engine import Report, iter_python_files
+from repro.statics.engine import Report, apply_pragmas, iter_python_files
 from repro.statics.findings import Finding
 from repro.statics.graphs import Program
-from repro.statics.pragmas import PragmaTable, parse_pragmas
-from repro.statics.project import (FileSummary, content_key,
-                                   summarize_source)
+from repro.statics.pragmas import parse_pragmas
+from repro.statics.project import FileSummary, summarize_source
 
 #: Default analysis roots when ``--flow`` is given no paths: the flow
 #: families model production actor wiring, so ``tests`` is not a
@@ -105,39 +104,12 @@ def load_program(paths: tuple[str, ...],
     Returns the program plus each file's source (for pragma scanning —
     the source was already read to compute the cache key, so this costs
     nothing extra)."""
-    import json
-    import os
     summaries: list[FileSummary] = []
     sources: dict[str, str] = {}
     for path in iter_python_files(paths):
         with open(path, encoding="utf-8") as handle:
-            source = handle.read()
-        sources[path] = source
-        summary: Optional[FileSummary] = None
-        cache_path: Optional[str] = None
-        if cache_dir is not None:
-            cache_path = os.path.join(cache_dir,
-                                      f"{content_key(source)}.json")
-            if os.path.exists(cache_path):
-                try:
-                    with open(cache_path, encoding="utf-8") as handle:
-                        data = json.load(handle)
-                    if data.get("path") == path:
-                        summary = FileSummary.from_dict(data)
-                except (OSError, ValueError, KeyError, TypeError):
-                    summary = None
-        if summary is None:
-            summary = summarize_source(source, path)
-            if cache_path is not None:
-                os.makedirs(cache_dir or ".", exist_ok=True)
-                tmp = f"{cache_path}.tmp.{os.getpid()}"
-                try:
-                    with open(tmp, "w", encoding="utf-8") as handle:
-                        json.dump(summary.to_dict(), handle)
-                    os.replace(tmp, cache_path)
-                except OSError:
-                    pass
-        summaries.append(summary)
+            sources[path] = handle.read()
+        summaries.append(summarize_source(sources[path], path, cache_dir))
     return Program(summaries), sources
 
 
@@ -310,17 +282,10 @@ def run_flow(paths: tuple[str, ...], *,
     report = Report(files_checked=len(program.files))
     for path in sorted(sources):
         source = sources[path]
-        table: Optional[PragmaTable] = None
-        if "statics:" in source:
-            table = parse_pragmas(source, path, known)
-        for finding in by_path.get(path, ()):
-            if table is not None and table.suppresses(finding):
-                report.suppressed += 1
-            else:
-                report.findings.append(finding)
-        if table is not None and report_unused_pragmas:
-            report.findings.extend(
-                table.unused_findings(path, active_rules=active))
+        table = (parse_pragmas(source, path, known)
+                 if "statics:" in source else None)
+        apply_pragmas(report, path, by_path.get(path, ()), table, active,
+                      report_unused_pragmas)
     for summary in program.files:
         if summary.parse_error is not None:
             report.findings.append(Finding(

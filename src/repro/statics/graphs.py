@@ -15,8 +15,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 from typing import Optional
 
-from repro.statics.project import (BOUNDARY_SENDS, CallSite, ClassSummary,
-                                   FileSummary, FunctionSummary, MsgSite)
+from repro.statics.project import (CallSite, ClassSummary, FileSummary,
+                                   FunctionSummary, MsgSite)
 
 #: Methods whose joint presence marks a class as an *actor*: it owns a
 #: mailbox transport, so its private state is reachable from other
@@ -324,8 +324,3 @@ class Program:
                 for callee in sorted(callees):
                     lines.append(f"    -> {callee}")
         return "\n".join(lines)
-
-
-def boundary_send_names() -> frozenset[str]:
-    """The cross-actor send primitives (re-exported for tests/docs)."""
-    return BOUNDARY_SENDS

@@ -25,22 +25,25 @@ sinks belong to the closure's builder for flow purposes — except their
 from __future__ import annotations
 
 import ast
+import functools
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from collections.abc import Callable, Iterator, Sequence
-from typing import Any, Optional
+from typing import (Any, Optional, TypeVar, Union, cast, get_args,
+                    get_origin, get_type_hints)
 
 from repro.statics.engine import scope_of
+from repro.statics.rules import (SINK_FNS, ImportMap, call_name,
+                                 float_reason, hash_id_key_sites,
+                                 set_iteration_sites, time_argument)
 
 #: Bump when the summary format or the extraction logic changes: a
 #: version mismatch is simply a cache miss.
 SUMMARY_VERSION = 1
 
-#: Scheduling sinks whose first positional argument is simulated time.
-SINK_FNS = frozenset({"schedule", "schedule_at", "schedule_fast",
-                      "inject_at", "Event"})
+T = TypeVar("T")
 
 #: Calls that yield integers (or otherwise launder float taint away).
 _SANITIZERS = frozenset({"int", "exact_ns", "len", "round", "floor",
@@ -89,16 +92,6 @@ class Taint:
             params=tuple(sorted(set(self.params) | set(other.params))),
             calls=tuple(sorted(set(self.calls) | set(other.calls))))
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"sources": list(self.sources), "params": list(self.params),
-                "calls": list(self.calls)}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Taint":
-        return cls(sources=tuple(data["sources"]),
-                   params=tuple(data["params"]),
-                   calls=tuple(data["calls"]))
-
 
 EMPTY_TAINT = Taint()
 
@@ -122,20 +115,6 @@ class CallSite:
     args: list[Taint] = field(default_factory=list)
     kwargs: dict[str, Taint] = field(default_factory=dict)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"id": self.id, "line": self.line, "col": self.col,
-                "kind": self.kind, "name": self.name, "recv": self.recv,
-                "args": [t.to_dict() for t in self.args],
-                "kwargs": {k: t.to_dict() for k, t in self.kwargs.items()}}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "CallSite":
-        return cls(id=data["id"], line=data["line"], col=data["col"],
-                   kind=data["kind"], name=data["name"], recv=data["recv"],
-                   args=[Taint.from_dict(t) for t in data["args"]],
-                   kwargs={k: Taint.from_dict(t)
-                           for k, t in data["kwargs"].items()})
-
 
 @dataclass
 class Sink:
@@ -149,16 +128,6 @@ class Sink:
     fn: str
     taint: Taint
     direct: bool
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"line": self.line, "col": self.col, "fn": self.fn,
-                "taint": self.taint.to_dict(), "direct": self.direct}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Sink":
-        return cls(line=data["line"], col=data["col"], fn=data["fn"],
-                   taint=Taint.from_dict(data["taint"]),
-                   direct=data["direct"])
 
 
 @dataclass
@@ -180,17 +149,6 @@ class MsgSite:
     #: hint ({"kind": "name"|"call"|"method", ...}) or None.
     handler: Optional[dict[str, str]] = None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"api": self.api, "line": self.line, "col": self.col,
-                "spec_kind": self.spec_kind, "spec_value": self.spec_value,
-                "handler": self.handler}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "MsgSite":
-        return cls(api=data["api"], line=data["line"], col=data["col"],
-                   spec_kind=data["spec_kind"], spec_value=data["spec_value"],
-                   handler=data["handler"])
-
 
 @dataclass
 class OrderSite:
@@ -201,15 +159,6 @@ class OrderSite:
     line: int
     col: int
     desc: str
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"rule": self.rule, "line": self.line, "col": self.col,
-                "desc": self.desc}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "OrderSite":
-        return cls(rule=data["rule"], line=data["line"], col=data["col"],
-                   desc=data["desc"])
 
 
 @dataclass
@@ -222,17 +171,6 @@ class AccessSite:
     recv_type: str
     member: str
     mode: str  # "store" | "call"
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"line": self.line, "col": self.col,
-                "recv_type": self.recv_type, "member": self.member,
-                "mode": self.mode}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "AccessSite":
-        return cls(line=data["line"], col=data["col"],
-                   recv_type=data["recv_type"], member=data["member"],
-                   mode=data["mode"])
 
 
 @dataclass
@@ -257,40 +195,6 @@ class FunctionSummary:
     order_sites: list[OrderSite] = field(default_factory=list)
     private_access: list[AccessSite] = field(default_factory=list)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "qualname": self.qualname, "name": self.name,
-            "module": self.module, "path": self.path, "lineno": self.lineno,
-            "class_name": self.class_name, "params": self.params,
-            "calls": [c.to_dict() for c in self.calls],
-            "sinks": [s.to_dict() for s in self.sinks],
-            "returns": self.returns.to_dict(),
-            "returns_str_spec": (list(self.returns_str_spec)
-                                 if self.returns_str_spec else None),
-            "msg_sites": [m.to_dict() for m in self.msg_sites],
-            "boundary_send": self.boundary_send,
-            "order_sites": [o.to_dict() for o in self.order_sites],
-            "private_access": [a.to_dict() for a in self.private_access],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FunctionSummary":
-        spec = data["returns_str_spec"]
-        return cls(
-            qualname=data["qualname"], name=data["name"],
-            module=data["module"], path=data["path"], lineno=data["lineno"],
-            class_name=data["class_name"], params=list(data["params"]),
-            calls=[CallSite.from_dict(c) for c in data["calls"]],
-            sinks=[Sink.from_dict(s) for s in data["sinks"]],
-            returns=Taint.from_dict(data["returns"]),
-            returns_str_spec=(spec[0], spec[1]) if spec else None,
-            msg_sites=[MsgSite.from_dict(m) for m in data["msg_sites"]],
-            boundary_send=data["boundary_send"],
-            order_sites=[OrderSite.from_dict(o)
-                         for o in data["order_sites"]],
-            private_access=[AccessSite.from_dict(a)
-                            for a in data["private_access"]])
-
 
 @dataclass
 class ClassSummary:
@@ -305,18 +209,6 @@ class ClassSummary:
     #: instance attr -> local type ref ("Class", "list:Class", ...).
     attr_types: dict[str, str] = field(default_factory=dict)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"name": self.name, "module": self.module,
-                "lineno": self.lineno, "bases": self.bases,
-                "methods": self.methods, "attr_types": self.attr_types}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ClassSummary":
-        return cls(name=data["name"], module=data["module"],
-                   lineno=data["lineno"], bases=list(data["bases"]),
-                   methods=list(data["methods"]),
-                   attr_types=dict(data["attr_types"]))
-
 
 @dataclass
 class FileSummary:
@@ -329,38 +221,76 @@ class FileSummary:
     #: local alias -> dotted module (``import x.y as z``).
     import_modules: dict[str, str] = field(default_factory=dict)
     #: local name -> (module, original) (``from m import n as l``).
-    import_names: dict[str, list[str]] = field(default_factory=dict)
+    import_names: dict[str, tuple[str, str]] = field(default_factory=dict)
     #: module-level string constants.
     constants: dict[str, str] = field(default_factory=dict)
     classes: dict[str, ClassSummary] = field(default_factory=dict)
     functions: list[FunctionSummary] = field(default_factory=list)
     parse_error: Optional[str] = None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "version": SUMMARY_VERSION,
-            "path": self.path, "module": self.module, "scope": self.scope,
-            "sha": self.sha, "import_modules": self.import_modules,
-            "import_names": self.import_names, "constants": self.constants,
-            "classes": {k: c.to_dict() for k, c in self.classes.items()},
-            "functions": [f.to_dict() for f in self.functions],
-            "parse_error": self.parse_error,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FileSummary":
-        return cls(
-            path=data["path"], module=data["module"], scope=data["scope"],
-            sha=data["sha"],
-            import_modules=dict(data["import_modules"]),
-            import_names={k: list(v)
-                          for k, v in data["import_names"].items()},
-            constants=dict(data["constants"]),
-            classes={k: ClassSummary.from_dict(c)
-                     for k, c in data["classes"].items()},
-            functions=[FunctionSummary.from_dict(f)
-                       for f in data["functions"]],
-            parse_error=data["parse_error"])
+# ----------------------------------------------------------------------
+# JSON codec
+# ----------------------------------------------------------------------
+
+
+def encode(value: Any) -> Any:
+    """A record as plain JSON data: dataclasses become dicts in field
+    order, tuples become lists, atoms are kept as is."""
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [encode(item) for item in value]
+    if isinstance(value, dict):
+        return {key: encode(item) for key, item in value.items()}
+    return {name: encode(getattr(value, name))
+            for name in _field_names(type(value))}
+
+
+@functools.lru_cache(maxsize=None)
+def _field_names(cls: Any) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def decode(cls: type[T], data: Any) -> T:
+    """Rebuild a record of type ``cls`` from :func:`encode`'s output."""
+    return cast(T, _decoder(cls)(data))
+
+
+def _identity(data: Any) -> Any:
+    return data
+
+
+@functools.lru_cache(maxsize=None)
+def _decoder(hint: Any) -> Callable[[Any], Any]:
+    """The decoder for one type hint, built once per type: dataclasses
+    field by field (positionally) from their resolved hints, containers
+    element-wise (tuples here are homogeneous), ``Optional`` passing
+    None through, atoms as is.  Containers of atoms are rebuilt without
+    a per-item call: a warm run decodes every summary."""
+    if hasattr(hint, "__dataclass_fields__"):
+        hints = get_type_hints(hint)
+        decoders = [(f.name, _decoder(hints[f.name])) for f in fields(hint)]
+        return lambda data: hint(*[dec(data[name])
+                                   for name, dec in decoders])
+    origin: Any = get_origin(hint)
+    args = get_args(hint)
+    if origin is Union:
+        inner = _decoder(next(a for a in args if a is not type(None)))
+        if inner is _identity:
+            return _identity
+        return lambda data: None if data is None else inner(data)
+    if origin in (list, tuple):
+        item = _decoder(args[0])
+        if item is _identity:
+            return origin
+        return lambda data: origin([item(x) for x in data])
+    if origin is dict:
+        value = _decoder(args[1])
+        if value is _identity:
+            return dict
+        return lambda data: {k: value(v) for k, v in data.items()}
+    return _identity
 
 
 # ----------------------------------------------------------------------
@@ -461,36 +391,23 @@ class _Extractor:
 
     def __init__(self, path: str, source: str, tree: ast.Module) -> None:
         self.path = path
-        self.source = source
         self.tree = tree
         self.module = module_name_of(path)
+        self.imports = ImportMap(tree)
         self.summary = FileSummary(
             path=path, module=self.module, scope=scope_of(path),
-            sha=content_key(source))
+            sha=content_key(source), import_modules=self.imports.modules,
+            import_names=self.imports.names)
         #: local type query for the function currently being
         #: summarized; rebound by :meth:`_type_env` per function.
         self._expr_type: Callable[[ast.expr], Optional[str]] = \
             lambda expr: None
         #: the current function's folded subtree (name-spec scope).
         self._fn_nodes: Sequence[ast.AST] = ()
-        self._collect_imports()
         self._collect_constants()
         self._collect_classes()
 
     # -- module-level tables -------------------------------------------
-    def _collect_imports(self) -> None:
-        out = self.summary
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    out.import_modules[alias.asname
-                                       or alias.name.split(".")[0]] = \
-                        alias.name
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                for alias in node.names:
-                    out.import_names[alias.asname or alias.name] = [
-                        node.module, alias.name]
-
     def _collect_constants(self) -> None:
         for stmt in self.tree.body:
             targets: list[ast.expr] = []
@@ -632,7 +549,7 @@ class _Extractor:
                 kw.arg: self._taint_of(kw.value, env, out.params, call_ids)
                 for kw in node.keywords if kw.arg is not None}
             out.calls.append(site)
-            callee = _call_name(node)
+            callee = call_name(node)
             if callee in BOUNDARY_SENDS:
                 out.boundary_send = True
             if callee in (MAILBOX_SEND, MAILBOX_REGISTER):
@@ -764,19 +681,18 @@ class _Extractor:
     def _taint_of(self, expr: ast.expr, env: dict[str, Taint],
                   params: Sequence[str],
                   call_ids: dict[int, int]) -> Taint:
+        if isinstance(expr, ast.Call):
+            return self._call_taint(expr, env, params, call_ids)
+        reason = float_reason(expr, self.imports)
+        if reason is not None:
+            return Taint(sources=(reason,))
         if isinstance(expr, ast.Name):
             if expr.id in env:
                 return env[expr.id]
             if expr.id in params:
                 return Taint(params=(expr.id,))
             return EMPTY_TAINT
-        if isinstance(expr, ast.Constant):
-            if isinstance(expr.value, float):
-                return Taint(sources=(f"float literal {expr.value!r}",))
-            return EMPTY_TAINT
         if isinstance(expr, ast.BinOp):
-            if isinstance(expr.op, ast.Div):
-                return Taint(sources=("true division (/)",))
             if isinstance(expr.op, ast.FloorDiv):
                 return EMPTY_TAINT  # integer-laundering, as in SIM001
             return self._taint_of(expr.left, env, params, call_ids).merged(
@@ -795,28 +711,22 @@ class _Extractor:
             return self._taint_of(expr.value, env, params, call_ids)
         if isinstance(expr, ast.Starred):
             return self._taint_of(expr.value, env, params, call_ids)
-        if isinstance(expr, ast.Call):
-            return self._call_taint(expr, env, params, call_ids)
-        if isinstance(expr, (ast.BoolOp, ast.Compare)):
-            return EMPTY_TAINT
         return EMPTY_TAINT
 
     def _call_taint(self, expr: ast.Call, env: dict[str, Taint],
                     params: Sequence[str],
                     call_ids: dict[int, int]) -> Taint:
-        name = _call_name(expr)
+        name = call_name(expr)
         if name in _SANITIZERS:
             return EMPTY_TAINT
-        if name == "float":
-            return Taint(sources=("float() cast",))
+        reason = float_reason(expr, self.imports)
+        if reason is not None:
+            return Taint(sources=(reason,))
         func = expr.func
-        if isinstance(func, ast.Attribute) and isinstance(
-                func.value, ast.Name):
-            mod = self.summary.import_modules.get(func.value.id)
-            if mod == "time":
-                return Taint(sources=(f"wall-clock time.{func.attr}()",))
-            if mod == "math":
-                return Taint(sources=(f"math.{func.attr}() float result",))
+        if (isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and self.imports.module_alias(func.value.id, "math")):
+            return Taint(sources=(f"math.{func.attr}() float result",))
         if name in _PROPAGATORS:
             out = EMPTY_TAINT
             for arg in expr.args:
@@ -951,52 +861,39 @@ class _Extractor:
     # -- sinks -----------------------------------------------------------
     def _sink(self, node: ast.Call, callee: str, env: dict[str, Taint],
               out: FunctionSummary, call_ids: dict[int, int]) -> None:
-        time_arg: Optional[ast.expr] = None
-        if node.args:
-            time_arg = node.args[0]
-        else:
-            for kw in node.keywords:
-                if kw.arg in ("delay", "time"):
-                    time_arg = kw.value
-                    break
+        time_arg = time_argument(node)
         if time_arg is None:
             return
         taint = self._taint_of(time_arg, env, out.params, call_ids)
-        direct = _direct_float(time_arg, self.summary.import_modules)
+        direct = any(float_reason(sub, self.imports) is not None
+                     for sub in ast.walk(time_arg))
         out.sinks.append(Sink(line=node.lineno, col=node.col_offset + 1,
                               fn=callee, taint=taint, direct=direct))
 
     # -- ordering sites --------------------------------------------------
     def _order_sites(self, root: ast.AST, module_level: bool,
                      out: FunctionSummary) -> None:
-        # Reuse the per-file DET003/DET004 scanners on this function's
+        # The per-file DET003/DET004 scanners over this function's
         # subtree; the flow layer promotes them to MSG002 only when the
         # function feeds a cross-boundary send.
-        from repro.statics.engine import FileContext
-        from repro.statics.rules import (HashIdOrderingRule,
-                                         UnorderedIterationRule)
-        from repro.statics.findings import Finding
-        ctx = FileContext(path=self.path, source=self.source,
-                          tree=self.tree, scope="flow",
-                          lines=self.source.splitlines())
-        raw: list[Finding] = []
-        UnorderedIterationRule()._scan(root, ctx, raw)
-        HashIdOrderingRule()._scan(root, ctx, raw)
+        sites = [("DET003", node, desc)
+                 for node, desc in set_iteration_sites(root)]
+        sites += [("DET004", node, desc)
+                  for node, desc in hash_id_key_sites(root)]
+        fn_lines: set[int] = set()
         if module_level:
             # The module pseudo-function's subtree is the whole tree;
             # function bodies report their own sites.
-            fn_lines = set()
             for stmt in self.tree.body:
                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                                      ast.ClassDef)):
                     end = getattr(stmt, "end_lineno", stmt.lineno)
                     fn_lines.update(range(stmt.lineno, end + 1))
-            raw = [f for f in raw if f.line not in fn_lines]
-        for finding in raw:
-            rule = ("DET003" if finding.rule == "DET003" else "DET004")
-            out.order_sites.append(OrderSite(
-                rule=rule, line=finding.line, col=finding.col,
-                desc=finding.message))
+        for rule, node, desc in sites:
+            if node.lineno not in fn_lines:
+                out.order_sites.append(OrderSite(
+                    rule=rule, line=node.lineno, col=node.col_offset + 1,
+                    desc=desc))
 
     # -- private access --------------------------------------------------
     def _private_access(self, walk_nodes: Sequence[ast.AST],
@@ -1058,15 +955,6 @@ class _Extractor:
                             mode="store"))
 
 
-def _call_name(node: ast.Call) -> Optional[str]:
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
 def _literal_spec(expr: ast.expr) -> Optional[tuple[str, str]]:
     """Constant string → exact; f-string with a constant prefix and at
     least one interpolation → scheme(prefix)."""
@@ -1085,25 +973,6 @@ def _literal_spec(expr: ast.expr) -> Optional[tuple[str, str]]:
     return None
 
 
-def _direct_float(expr: ast.expr, import_modules: dict[str, str]) -> bool:
-    """SIM001's expression-local float test (that rule's findings are
-    not re-reported interprocedurally)."""
-    for node in ast.walk(expr):
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
-            return True
-        if isinstance(node, ast.Constant) and isinstance(node.value, float):
-            return True
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name) and func.id == "float":
-                return True
-            if (isinstance(func, ast.Attribute)
-                    and isinstance(func.value, ast.Name)
-                    and import_modules.get(func.value.id) == "time"):
-                return True
-    return False
-
-
 # ----------------------------------------------------------------------
 # Entry points + cache
 # ----------------------------------------------------------------------
@@ -1116,43 +985,39 @@ def content_key(source: str) -> str:
     return digest.hexdigest()
 
 
-def summarize_source(source: str, path: str) -> FileSummary:
-    """Summarize one source blob (no cache)."""
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return FileSummary(path=path, module=module_name_of(path),
-                           scope=scope_of(path), sha=content_key(source),
-                           parse_error=f"{exc.msg} (line {exc.lineno})")
-    return _Extractor(path, source, tree).extract()
-
-
-def summarize_file(path: str,
-                   cache_dir: Optional[str] = None) -> FileSummary:
-    """Summarize ``path``, round-tripping through the content-keyed
-    cache when ``cache_dir`` is given.  A cache hit skips the parse
-    entirely; a stale or corrupt entry is recomputed and rewritten."""
-    with open(path, encoding="utf-8") as handle:
-        source = handle.read()
-    key = content_key(source)
-    cache_path = (os.path.join(cache_dir, f"{key}.json")
-                  if cache_dir is not None else None)
-    if cache_path is not None and os.path.exists(cache_path):
+def summarize_source(source: str, path: str,
+                     cache_dir: Optional[str] = None) -> FileSummary:
+    """Summarize one source blob, round-tripping through the
+    content-keyed cache under ``cache_dir`` when it is given — the only
+    reader and writer of cache entries.  A hit skips the parse entirely;
+    a missing, stale (other ``version`` or ``path``) or corrupt entry is
+    a miss, recomputed and rewritten."""
+    cache_path = None
+    if cache_dir is not None:
+        cache_path = os.path.join(cache_dir, f"{content_key(source)}.json")
         try:
             with open(cache_path, encoding="utf-8") as handle:
                 data = json.load(handle)
             if data.get("version") == SUMMARY_VERSION \
                     and data.get("path") == path:
-                return FileSummary.from_dict(data)
-        except (OSError, ValueError, KeyError, TypeError):
-            pass  # fall through to recompute
-    summary = summarize_source(source, path)
+                return decode(FileSummary, data)
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            pass  # a miss: recompute below
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        summary = FileSummary(path=path, module=module_name_of(path),
+                              scope=scope_of(path), sha=content_key(source),
+                              parse_error=f"{exc.msg} (line {exc.lineno})")
+    else:
+        summary = _Extractor(path, source, tree).extract()
     if cache_path is not None:
         os.makedirs(cache_dir or ".", exist_ok=True)
         tmp = f"{cache_path}.tmp.{os.getpid()}"
         try:
             with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(summary.to_dict(), handle)
+                json.dump({"version": SUMMARY_VERSION, **encode(summary)},
+                          handle)
             os.replace(tmp, cache_path)
         except OSError:
             pass  # cache write failure is never an analysis failure

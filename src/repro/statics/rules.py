@@ -12,8 +12,9 @@ DET003    no iteration over bare ``set``s in ``sim``/``core`` (hash-seed
           dependent order can reach scheduling and serialization)
 DET004    no builtin ``hash()``/``id()`` in ordering keys
 SIM001    no float-producing expressions flowing into
-          ``schedule()``/``schedule_at()``/``schedule_fast()``/``Event``
-          time arguments (static complement of ``exact_ns``)
+          ``schedule()``/``schedule_at()``/``schedule_fast()``/
+          ``inject_at()``/``Event`` time arguments (static complement
+          of ``exact_ns``)
 SIM002    ``__slots__`` classes must not assign undeclared attributes
 SIM003    packets enter units through links — no direct
           ``ingress.handle_packet()``/``receive_from_link()`` calls
@@ -26,6 +27,12 @@ Where a rule cannot see that a use is safe (an order-insensitive
 reduction over a set, say), the fix is a reasoned
 ``# statics: allow[RULE]`` pragma, which keeps the exception reviewable
 at the call site.
+
+The AST facts below the rules' own logic — the import table, the sink
+set and its time argument, the float test, the ordering-site scanners —
+are module-level so the ``--flow`` extractor (:mod:`repro.statics.project`)
+calls the very same code: DET005 and MSG002 are SIM001 and DET003/DET004
+lifted across calls, never a second implementation of them.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from repro.statics.engine import FileContext, Rule
 from repro.statics.findings import Finding
 
 # ----------------------------------------------------------------------
-# Shared import tracking
+# Shared AST facts
 # ----------------------------------------------------------------------
 
 
@@ -68,6 +75,51 @@ class ImportMap:
         if entry is not None and entry[0] == module:
             return entry[1]
         return None
+
+
+#: Scheduling sinks whose time argument is simulated time (SIM001 per
+#: file, DET005 across calls).
+SINK_FNS = frozenset({"schedule", "schedule_at", "schedule_fast",
+                      "inject_at", "Event"})
+
+
+def call_name(node: ast.Call) -> Optional[str]:
+    """The called name: ``f`` for ``f(...)``, ``m`` for ``x.m(...)``."""
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def time_argument(call: ast.Call) -> Optional[ast.expr]:
+    """A sink call's time argument: the first positional argument, else
+    a ``delay=`` / ``time=`` keyword."""
+    if call.args:
+        return call.args[0]
+    for keyword in call.keywords:
+        if keyword.arg in ("delay", "time"):
+            return keyword.value
+    return None
+
+
+def float_reason(node: ast.AST, imports: ImportMap) -> Optional[str]:
+    """Why ``node`` itself produces a float — true division, a float
+    literal, a ``float()`` cast, a ``time.*`` read — or None."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+        return "true division (/)"
+    if isinstance(node, ast.Constant) and isinstance(node.value, float):
+        return f"float literal {node.value!r}"
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "float":
+            return "float() cast"
+        if (isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and imports.module_alias(func.value.id, "time")):
+            return f"wall-clock time.{func.attr}()"
+    return None
 
 
 def _root_name(node: ast.AST) -> Optional[str]:
@@ -204,6 +256,81 @@ _SET_METHODS = {"union", "intersection", "difference",
 _ORDER_SENSITIVE_CALLS = {"list", "tuple", "iter", "enumerate"}
 
 
+def _is_set_expr(node: ast.AST, env: dict[str, bool]) -> bool:
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Name):
+        return env.get(node.id, False)
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in ("set", "frozenset"):
+            return True
+        return (isinstance(func, ast.Attribute)
+                and func.attr in _SET_METHODS
+                and _is_set_expr(func.value, env))
+    if isinstance(node, ast.BinOp) and isinstance(
+            node.op, (ast.BitOr, ast.BitAnd, ast.BitXor, ast.Sub)):
+        return (_is_set_expr(node.left, env)
+                or _is_set_expr(node.right, env))
+    return False
+
+
+def _is_set_annotation(annotation: ast.expr) -> bool:
+    if isinstance(annotation, ast.Subscript):
+        annotation = annotation.value
+    return (isinstance(annotation, ast.Name)
+            and annotation.id in ("set", "frozenset", "Set",
+                                  "FrozenSet", "AbstractSet"))
+
+
+def set_iteration_sites(root: ast.AST) -> Iterator[tuple[ast.expr, str]]:
+    """Every place under ``root`` (a file, or one function for the flow
+    layer) that iterates a bare set, with a description."""
+    # First pass: names bound to set expressions or set annotations
+    # anywhere under root.  (One flat namespace is an approximation —
+    # good enough for a local, syntactic rule; a false positive is one
+    # reasoned pragma away.)
+    local_env: dict[str, bool] = {}
+    for node in ast.walk(root):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name):
+                if _is_set_expr(node.value, local_env):
+                    local_env[target.id] = True
+        elif (isinstance(node, ast.AnnAssign)
+              and isinstance(node.target, ast.Name)
+              and _is_set_annotation(node.annotation)):
+            local_env[node.target.id] = True
+        elif isinstance(node, ast.arg):
+            if (node.annotation is not None
+                    and _is_set_annotation(node.annotation)):
+                local_env[node.arg] = True
+    for node in ast.walk(root):
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            if _is_set_expr(node.iter, local_env):
+                yield (node.iter, "for-loop iterates a bare set (order is "
+                                  "hash-seed dependent)")
+        elif isinstance(node, (ast.ListComp, ast.GeneratorExp,
+                               ast.DictComp, ast.SetComp)):
+            for gen in node.generators:
+                if _is_set_expr(gen.iter, local_env):
+                    yield (gen.iter, "comprehension iterates a bare set "
+                                     "(order is hash-seed dependent)")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Name)
+                    and func.id in _ORDER_SENSITIVE_CALLS
+                    and node.args
+                    and _is_set_expr(node.args[0], local_env)):
+                yield (node, f"{func.id}() materializes a bare set's "
+                             "iteration order")
+            elif (isinstance(func, ast.Attribute)
+                  and func.attr == "join" and node.args
+                  and _is_set_expr(node.args[0], local_env)):
+                yield (node, "str.join() serializes a bare set's "
+                             "iteration order")
+
+
 class UnorderedIterationRule(Rule):
     """No iteration over bare ``set``s in ``sim``/``core``.
 
@@ -224,97 +351,33 @@ class UnorderedIterationRule(Rule):
     scopes = frozenset({"sim", "core"})
 
     def check(self, ctx: FileContext) -> list[Finding]:
-        out: list[Finding] = []
-        self._scan(ctx.tree, ctx, out)
-        return out
-
-    # -- set-expression classification ---------------------------------
-    def _is_set_expr(self, node: ast.AST, env: dict[str, bool]) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Name):
-            return env.get(node.id, False)
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in ("set", "frozenset"):
-                return True
-            if (isinstance(func, ast.Attribute)
-                    and func.attr in _SET_METHODS
-                    and self._is_set_expr(func.value, env)):
-                return True
-            return False
-        if isinstance(node, ast.BinOp) and isinstance(
-                node.op, (ast.BitOr, ast.BitAnd, ast.BitXor, ast.Sub)):
-            return (self._is_set_expr(node.left, env)
-                    or self._is_set_expr(node.right, env))
-        return False
-
-    @staticmethod
-    def _is_set_annotation(annotation: ast.expr) -> bool:
-        if isinstance(annotation, ast.Subscript):
-            annotation = annotation.value
-        return (isinstance(annotation, ast.Name)
-                and annotation.id in ("set", "frozenset", "Set",
-                                      "FrozenSet", "AbstractSet"))
-
-    def _scan(self, root: ast.AST, ctx: FileContext,
-              out: list[Finding]) -> None:
-        # First pass: names bound to set expressions or set annotations
-        # anywhere in the file.  (One flat namespace is an approximation
-        # — good enough for a local, syntactic rule; a false positive is
-        # one reasoned pragma away.)
-        local_env: dict[str, bool] = {}
-        for node in ast.walk(root):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name):
-                    if self._is_set_expr(node.value, local_env):
-                        local_env[target.id] = True
-            elif (isinstance(node, ast.AnnAssign)
-                  and isinstance(node.target, ast.Name)
-                  and self._is_set_annotation(node.annotation)):
-                local_env[node.target.id] = True
-            elif isinstance(node, ast.arg):
-                if (node.annotation is not None
-                        and self._is_set_annotation(node.annotation)):
-                    local_env[node.arg] = True
-        for node in ast.walk(root):
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                if self._is_set_expr(node.iter, local_env):
-                    out.append(self.finding(
-                        ctx, node.iter,
-                        "for-loop iterates a bare set (order is "
-                        "hash-seed dependent)"))
-            elif isinstance(node, (ast.ListComp, ast.GeneratorExp,
-                                   ast.DictComp, ast.SetComp)):
-                for gen in node.generators:
-                    if self._is_set_expr(gen.iter, local_env):
-                        out.append(self.finding(
-                            ctx, gen.iter,
-                            "comprehension iterates a bare set (order is "
-                            "hash-seed dependent)"))
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if (isinstance(func, ast.Name)
-                        and func.id in _ORDER_SENSITIVE_CALLS
-                        and node.args
-                        and self._is_set_expr(node.args[0], local_env)):
-                    out.append(self.finding(
-                        ctx, node,
-                        f"{func.id}() materializes a bare set's iteration "
-                        "order"))
-                elif (isinstance(func, ast.Attribute)
-                      and func.attr == "join" and node.args
-                      and self._is_set_expr(node.args[0], local_env)):
-                    out.append(self.finding(
-                        ctx, node,
-                        "str.join() serializes a bare set's iteration "
-                        "order"))
+        return [self.finding(ctx, node, message)
+                for node, message in set_iteration_sites(ctx.tree)]
 
 
 # ----------------------------------------------------------------------
 # DET004 — hash()/id() in ordering keys
 # ----------------------------------------------------------------------
+
+
+def hash_id_key_sites(root: ast.AST) -> Iterator[tuple[ast.expr, str]]:
+    """Every builtin ``hash``/``id`` under ``root`` used inside a sort
+    key or a heap entry, with a description."""
+    for node in ast.walk(root):
+        if not isinstance(node, ast.Call):
+            continue
+        name = call_name(node)
+        sort_like = (name == "sort" if isinstance(node.func, ast.Attribute)
+                     else name in ("sorted", "min", "max"))
+        keys = ([(kw.value, "ordering key") for kw in node.keywords
+                 if kw.arg == "key"] if sort_like else [])
+        if name == "heappush" and len(node.args) >= 2:
+            keys.append((node.args[1], "heap entry"))
+        for subtree, where in keys:
+            for sub in ast.walk(subtree):
+                if isinstance(sub, ast.Name) and sub.id in ("hash", "id"):
+                    yield sub, (f"builtin {sub.id}() used in a {where} "
+                                "(PYTHONHASHSEED / allocation-order hazard)")
 
 
 class HashIdOrderingRule(Rule):
@@ -329,61 +392,21 @@ class HashIdOrderingRule(Rule):
             "fingerprint string) instead of hash()/id()")
 
     def check(self, ctx: FileContext) -> list[Finding]:
-        out: list[Finding] = []
-        self._scan(ctx.tree, ctx, out)
-        return out
-
-    def _scan(self, root: ast.AST, ctx: FileContext,
-              out: list[Finding]) -> None:
-        """Scan ``root`` (a file or any subtree — the flow layer reuses
-        this per-function) for hash()/id() inside ordering keys."""
-        for node in ast.walk(root):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            sort_like = (
-                (isinstance(func, ast.Name)
-                 and func.id in ("sorted", "min", "max"))
-                or (isinstance(func, ast.Attribute) and func.attr == "sort"))
-            if sort_like:
-                for keyword in node.keywords:
-                    if keyword.arg == "key":
-                        out.extend(self._flag_hash_id(ctx, keyword.value,
-                                                      "ordering key"))
-            heappush = (
-                (isinstance(func, ast.Name) and func.id == "heappush")
-                or (isinstance(func, ast.Attribute)
-                    and func.attr == "heappush"))
-            if heappush and len(node.args) >= 2:
-                out.extend(self._flag_hash_id(ctx, node.args[1],
-                                              "heap entry"))
-
-    def _flag_hash_id(self, ctx: FileContext, subtree: ast.AST,
-                      where: str) -> list[Finding]:
-        out = []
-        for node in ast.walk(subtree):
-            if isinstance(node, ast.Name) and node.id in ("hash", "id"):
-                out.append(self.finding(
-                    ctx, node,
-                    f"builtin {node.id}() used in a {where} "
-                    "(PYTHONHASHSEED / allocation-order hazard)"))
-        return out
+        return [self.finding(ctx, node, message)
+                for node, message in hash_id_key_sites(ctx.tree)]
 
 
 # ----------------------------------------------------------------------
 # SIM001 — float time arguments
 # ----------------------------------------------------------------------
 
-_SCHEDULE_FNS = {"schedule", "schedule_at", "schedule_fast"}
-
-
 class FloatTimeRule(Rule):
     """No float-producing expressions flowing into simulation time
     arguments.  The engine's ``exact_ns`` rejects fractional times at
-    runtime (and ``schedule_fast`` skips even that); this rule moves the
-    check to before execution: true division, float literals, ``time.*``
-    reads and ``float()`` casts may not appear in the time argument of
-    ``schedule()``/``schedule_at()``/``schedule_fast()``/``Event()``."""
+    runtime (and ``schedule_fast``/``inject_at`` skip even that); this
+    rule moves the check to before execution: true division, float
+    literals, ``time.*`` reads and ``float()`` casts may not appear in
+    the time argument of any :data:`SINK_FNS` call."""
 
     id = "SIM001"
     title = "no float expressions in simulation time arguments"
@@ -396,47 +419,18 @@ class FloatTimeRule(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            name = None
-            if isinstance(func, ast.Attribute):
-                name = func.attr
-            elif isinstance(func, ast.Name):
-                name = func.id
-            time_arg: Optional[ast.expr] = None
-            if name in _SCHEDULE_FNS or name == "Event":
-                if node.args:
-                    time_arg = node.args[0]
-                else:
-                    for keyword in node.keywords:
-                        if keyword.arg in ("delay", "time"):
-                            time_arg = keyword.value
-                            break
+            name = call_name(node)
+            time_arg = time_argument(node) if name in SINK_FNS else None
             if time_arg is None:
                 continue
             for sub in ast.walk(time_arg):
-                reason = self._float_reason(sub, imports)
+                reason = float_reason(sub, imports)
                 if reason is not None:
                     out.append(self.finding(
                         ctx, sub,
                         f"{reason} flows into the time argument of "
                         f"{name}()"))
         return out
-
-    def _float_reason(self, node: ast.AST,
-                      imports: ImportMap) -> Optional[str]:
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
-            return "true division (/)"
-        if isinstance(node, ast.Constant) and isinstance(node.value, float):
-            return f"float literal {node.value!r}"
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name) and func.id == "float":
-                return "float() cast"
-            if (isinstance(func, ast.Attribute)
-                    and isinstance(func.value, ast.Name)
-                    and imports.module_alias(func.value.id, "time")):
-                return f"wall-clock time.{func.attr}()"
-        return None
 
 
 # ----------------------------------------------------------------------
@@ -596,7 +590,7 @@ class SlotsIntegrityRule(Rule):
 
 #: Scheduling entry points whose second positional argument is a
 #: callback (``schedule(delay, fn, *args)`` and friends).
-_CALLBACK_SCHEDULERS = _SCHEDULE_FNS | {"inject_at"}
+_CALLBACK_SCHEDULERS = SINK_FNS - {"Event"}
 
 
 class FifoBypassRule(Rule):
@@ -651,8 +645,7 @@ class FifoBypassRule(Rule):
                         ctx, node,
                         "direct receive_from_link() call bypasses the "
                         "FIFO channel"))
-            name = (func.attr if isinstance(func, ast.Attribute)
-                    else func.id if isinstance(func, ast.Name) else None)
+            name = call_name(node)
             if name in _CALLBACK_SCHEDULERS and len(node.args) >= 2:
                 callback = node.args[1]
                 if isinstance(callback, ast.Attribute):
