@@ -51,21 +51,22 @@ typecheck:
 static-checks: statics statics-flow typecheck lint
 
 # Hot-path micro-suite (docs/PERF.md): records a labelled entry in
-# BENCH_core.json and fails on >25% normalized event-loop or
-# sharded-core (shard_smoke) regression against the committed
-# sharded-core baseline.
+# BENCH_core.json and fails on a >25% regression of any gated
+# normalized score against the committed full baseline entry (the
+# label is repro.perf.bench.BASELINE_LABEL, resolved there only).
 bench:
 	$(PYTHON) -m repro.perf.bench --label $(BENCH_LABEL) \
 	    --out BENCH_core.json --check-against BENCH_core.json \
-	    --baseline-label snapshot-service --max-regression 0.25
+	    --max-regression 0.25
 
-# CI-sized variant: quick iteration counts, no history rewrite.
+# CI-sized variant: quick iteration counts, no history rewrite, gated
+# against the committed *quick* baseline entry of the same label.
 # Includes the 2-shard fat-tree smoke of the space-parallel core
 # (docs/SHARDING.md).
 bench-smoke:
 	$(PYTHON) -m repro.perf.bench --quick --label ci-smoke \
 	    --out bench-smoke.json --check-against BENCH_core.json \
-	    --baseline-label snapshot-service --max-regression 0.25
+	    --max-regression 0.25
 
 # The full experiment regeneration benchmarks (pytest-benchmark).
 bench-experiments:

@@ -14,6 +14,10 @@ selector — stay perfectly correlated across salts.  Real ASICs avoid
 this by seeding the hash state or selecting different polynomials per
 switch; we apply a murmur-style avalanche finalizer over (CRC, salt),
 which decorrelates member choices across hops the same way.
+
+Balancers memoize each flow's hash (or table index) per :class:`FlowKey`,
+bounded like the ``FlowKey`` intern table, so a flow pays the string
+encoding and CRC once rather than once per packet.
 """
 
 from __future__ import annotations
@@ -21,6 +25,9 @@ from __future__ import annotations
 import zlib
 
 from repro.sim.packet import FlowKey, Packet
+
+#: Per-balancer memo bound, shared with the ``FlowKey`` intern table.
+MEMO_MAX = FlowKey._INTERN_MAX
 
 
 def flow_hash(flow: FlowKey, salt: int = 0) -> int:
@@ -41,10 +48,17 @@ class EcmpBalancer:
     def __init__(self, salt: int = 0) -> None:
         self.salt = salt
         self.decisions = 0
+        self._hashes: dict[FlowKey, int] = {}
 
     def select(self, candidates: list[int], packet: Packet, now_ns: int) -> int:
         self.decisions += 1
-        return candidates[flow_hash(packet.flow, self.salt) % len(candidates)]
+        flow = packet.flow
+        h = self._hashes.get(flow)
+        if h is None:
+            h = flow_hash(flow, self.salt)
+            if len(self._hashes) < MEMO_MAX:
+                self._hashes[flow] = h
+        return candidates[h % len(candidates)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EcmpBalancer(salt={self.salt})"

@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.lb.ecmp import flow_hash
+from repro.lb.ecmp import MEMO_MAX, flow_hash
 from repro.sim.engine import US
-from repro.sim.packet import Packet
+from repro.sim.packet import FlowKey, Packet
 
 
 @dataclass
@@ -57,13 +57,20 @@ class FlowletBalancer:
         if self.config.timeout_ns < 0:
             raise ValueError("timeout must be non-negative")
         self._table = [_TableEntry() for _ in range(self.config.table_size)]
+        #: FlowKey -> table index (bounded memo, see repro.lb.ecmp).
+        self._index: dict[FlowKey, int] = {}
         self._next_member = 0
         self.decisions = 0
         self.flowlets_started = 0
 
     def select(self, candidates: list[int], packet: Packet, now_ns: int) -> int:
         self.decisions += 1
-        index = flow_hash(packet.flow, self.config.salt) % len(self._table)
+        flow = packet.flow
+        index = self._index.get(flow)
+        if index is None:
+            index = flow_hash(flow, self.config.salt) % len(self._table)
+            if len(self._index) < MEMO_MAX:
+                self._index[flow] = index
         entry = self._table[index]
         expired = (entry.last_seen_ns < 0 or
                    now_ns - entry.last_seen_ns > self.config.timeout_ns)

@@ -33,7 +33,10 @@ deterministic simulation outputs, so the score is a saturation duty
 cycle that only a code change can move.  ``BENCH_core.json`` keeps a
 history of labelled entries; CI re-runs the quick suite and fails when
 any ``GATE_BENCHES`` score regresses by more than the configured
-fraction against the committed baseline entry.
+fraction against the committed baseline entry.  The baseline is the
+entry labelled :data:`BASELINE_LABEL` whose ``quick`` flag matches the
+run's own: quick runs are gated against quick baselines, full runs
+against full ones.
 
 Usage::
 
@@ -66,6 +69,9 @@ GATE_BENCH = "event_loop"
 #: two model-normalized knees (Fig. 10 per-switch, aggregation fabric).
 GATE_BENCHES = (GATE_BENCH, "shard_smoke", "fig10_knee", "agg_smoke",
                 "service_smoke")
+#: The committed entry label every gate compares against (``make bench``,
+#: ``make bench-smoke`` and CI alike; ``--baseline-label`` overrides).
+BASELINE_LABEL = "packet-path"
 
 
 # ----------------------------------------------------------------------
@@ -530,25 +536,36 @@ def load_history(path: str) -> dict[str, Any]:
 
 
 def append_entry(path: str, result: BenchResult) -> None:
-    """Append ``result`` to the history, replacing any same-label entry."""
+    """Append ``result`` to the history, replacing any entry with the
+    same label and ``quick`` flag (a label keeps one quick and one full
+    entry)."""
     history = load_history(path)
     history["entries"] = [e for e in history["entries"]
-                          if e.get("label") != result.label]
+                          if (e.get("label"), bool(e.get("quick")))
+                          != (result.label, result.quick)]
     history["entries"].append(result.to_json())
     with open(path, "w") as fh:
         json.dump(history, fh, indent=2, sort_keys=False)
         fh.write("\n")
 
 
-def baseline_entry(history: dict[str, Any],
-                   label: Optional[str] = None) -> Optional[dict[str, Any]]:
-    entries: list[dict[str, Any]] = history.get("entries", [])
-    if label is not None:
-        for entry in entries:
-            if entry.get("label") == label:
-                return entry
-        return None
-    return entries[-1] if entries else None
+def baseline_entry(history: dict[str, Any], label: Optional[str] = None,
+                   *, quick: bool) -> dict[str, Any]:
+    """The entry labelled ``label`` (default :data:`BASELINE_LABEL`)
+    measured with the same ``quick`` flag as the run it gates.
+
+    Quick and full runs use different iteration counts and problem
+    sizes, so their scores are not comparable; a missing match raises
+    ``LookupError`` rather than falling back to the other kind.
+    """
+    label = BASELINE_LABEL if label is None else label
+    for entry in history.get("entries", []):
+        if entry.get("label") == label and bool(entry.get("quick")) == quick:
+            return entry
+    kind = "quick" if quick else "full"
+    raise LookupError(f"no {kind} baseline entry labelled {label!r}; record "
+                      f"one with --label {label}"
+                      f"{' --quick' if quick else ''} --out FILE")
 
 
 def check_regression(current: BenchResult, baseline: dict[str, Any],
@@ -593,7 +610,9 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="compare against a baseline entry in FILE and "
                              "exit 1 on regression")
     parser.add_argument("--baseline-label", default=None,
-                        help="baseline entry label (default: last entry)")
+                        help=f"baseline entry label (default: "
+                             f"{BASELINE_LABEL!r}); the entry's quick flag "
+                             f"must match this run's")
     parser.add_argument("--max-regression", type=float, default=0.25,
                         help="tolerated fractional score drop (default 0.25)")
     args = parser.parse_args(argv)
@@ -609,10 +628,11 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     if args.check_against:
         history = load_history(args.check_against)
-        baseline = baseline_entry(history, args.baseline_label)
-        if baseline is None:
-            print(f"\nno baseline entry "
-                  f"{args.baseline_label or '(last)'} in {args.check_against}")
+        try:
+            baseline = baseline_entry(history, args.baseline_label,
+                                      quick=args.quick)
+        except LookupError as exc:
+            print(f"\n{args.check_against}: {exc.args[0]}")
             return 1
         print()
         failed = False

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from typing import Optional, Protocol
+from functools import partial
+from typing import Any, Optional, Protocol, cast
 
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
@@ -146,24 +147,34 @@ class ScriptedLoss(LossModel):
 
 
 class LinkEndpoint(Protocol):
-    """Anything that can sit at the end of a link (switch port or host)."""
+    """Anything that can sit at the end of a link (switch port or host).
 
-    def receive_from_link(self, packet: Packet, link: "Link") -> None:
-        ...  # pragma: no cover - protocol definition
+    The link hands the endpoint's inbound packets to the ``deliver``
+    callable given at :meth:`Link.attach`; an endpoint attached without
+    one must define ``receive_from_link(packet, link)``.
+    """
 
     @property
     def endpoint_name(self) -> str:
         ...  # pragma: no cover - protocol definition
 
 
+class ReceivingEndpoint(LinkEndpoint, Protocol):
+    """An endpoint that takes its packets through ``receive_from_link``."""
+
+    def receive_from_link(self, packet: Packet, link: "Link") -> None:
+        ...  # pragma: no cover - protocol definition
+
+
 class Link:
     """A full-duplex point-to-point link.
 
-    Endpoints are attached with :meth:`attach`; :meth:`transmit` delivers a
-    packet from one endpoint to the other after the propagation delay.
-    Serialisation delay is the sender's responsibility (the egress queue
-    model in :mod:`repro.sim.switch` / :mod:`repro.sim.host`), which keeps
-    each direction strictly FIFO.
+    Endpoints are attached with :meth:`attach`, which returns the
+    endpoint's bound sender; it (or :meth:`transmit`) delivers a packet
+    to the other endpoint after the propagation delay.  Serialisation
+    delay is the sender's responsibility (the egress queue model in
+    :mod:`repro.sim.switch` / :mod:`repro.sim.host`), which keeps each
+    direction strictly FIFO.
     """
 
     def __init__(self, sim: Simulator, bandwidth_bps: int = 25_000_000_000,
@@ -192,13 +203,13 @@ class Link:
         #: delivery times to stay monotone per direction, preserving the
         #: FIFO channel property the snapshot algorithm requires (§4.1).
         self.extra_delay_ns = 0
-        #: id(receiver) -> earliest allowed delivery time for the next
+        #: receiving side -> earliest allowed delivery time for the next
         #: packet in that direction (only populated during/after spikes).
-        self._fifo_floor: dict = {}
+        self._fifo_floor: dict[int, int] = {}
         self._endpoints: list[Optional[LinkEndpoint]] = [None, None]
-        #: id(sender) -> receiver, built once both ends are attached so
-        #: ``transmit`` avoids the identity-check chain per packet.
-        self._peer_cache: dict = {}
+        #: Per side: the one-argument callable that takes the packets
+        #: delivered to that side's endpoint.
+        self._receivers: list[Optional[Callable[[Packet], Any]]] = [None, None]
         #: size_bytes -> serialization ns (traffic uses a handful of
         #: fixed sizes, so this is effectively a precomputed multiplier).
         self._ser_cache: dict = {}
@@ -214,15 +225,24 @@ class Link:
         self._loss = model
         self._lossless = isinstance(model, NoLoss)
 
-    def attach(self, endpoint: LinkEndpoint) -> int:
-        """Attach an endpoint; returns its side index (0 or 1)."""
+    def attach(self, endpoint: LinkEndpoint,
+               deliver: Optional[Callable[[Packet], Any]] = None
+               ) -> Callable[[Packet], bool]:
+        """Attach an endpoint whose inbound packets go to ``deliver``
+        (default: its ``receive_from_link(packet, link)``).
+
+        Returns the endpoint's sender: ``send(packet)`` transmits to the
+        other side exactly like ``transmit(endpoint, packet)``, with the
+        side resolved once here instead of per packet.
+        """
         for side in (0, 1):
             if self._endpoints[side] is None:
+                if deliver is None:
+                    receiver = cast(ReceivingEndpoint, endpoint)
+                    deliver = partial(receiver.receive_from_link, link=self)
                 self._endpoints[side] = endpoint
-                a, b = self._endpoints
-                if a is not None and b is not None:
-                    self._peer_cache = {id(a): b, id(b): a}
-                return side
+                self._receivers[side] = deliver
+                return partial(self._send, 1 - side)
         raise RuntimeError(f"link {self.name!r} already has two endpoints")
 
     def peer_of(self, endpoint: LinkEndpoint) -> LinkEndpoint:
@@ -247,6 +267,12 @@ class Link:
             self._ser_cache[size_bytes] = ns
         return ns
 
+    def packet_serialization_ns(self, packet: Packet) -> int:
+        """:meth:`serialization_ns` of one packet (the ``ser_fn`` an
+        endpoint's queue binds at connect time)."""
+        ns = self._ser_cache.get(packet.size_bytes)
+        return self.serialization_ns(packet.size_bytes) if ns is None else ns
+
     def transmit(self, sender: LinkEndpoint, packet: Packet) -> bool:
         """Send ``packet`` from ``sender`` to the peer endpoint.
 
@@ -254,9 +280,16 @@ class Link:
         scheduled ``propagation_ns`` in the future; the caller has already
         accounted for serialisation time.
         """
-        receiver = self._peer_cache.get(id(sender))
-        if receiver is None:
-            receiver = self.peer_of(sender)
+        a, b = self._endpoints
+        if sender is a:
+            return self._send(1, packet)
+        if sender is b:
+            return self._send(0, packet)
+        raise ValueError(f"{sender!r} is not attached to link {self.name!r}")
+
+    def _send(self, to_side: int, packet: Packet) -> bool:
+        """Transmit toward the endpoint on ``to_side`` (the body behind
+        :meth:`transmit` and every sender :meth:`attach` returns)."""
         if not self.up:
             self.packets_dropped += 1
             return False
@@ -264,13 +297,13 @@ class Link:
             self.packets_dropped += 1
             return False
         if self.extra_delay_ns or self._fifo_floor:
-            self._transmit_slow(receiver, packet)
+            self._transmit_slow(to_side, packet)
             return True
         self.sim.schedule_fast(self.propagation_ns, self._deliver,
-                               receiver, packet)
+                               self._receivers[to_side], packet)
         return True
 
-    def _transmit_slow(self, receiver: LinkEndpoint, packet: Packet) -> None:
+    def _transmit_slow(self, to_side: int, packet: Packet) -> None:
         """Delivery under (or draining from) a latency spike.
 
         Clamps each delivery to be no earlier than the previous one in
@@ -279,25 +312,27 @@ class Link:
         which would break the FIFO-channel assumption.  Equal delivery
         times are fine — the engine's tie-break preserves send order.
         """
-        key = id(receiver)
         at = self.sim.now + self.propagation_ns + self.extra_delay_ns
-        floor = self._fifo_floor.get(key, 0)
+        floor = self._fifo_floor.get(to_side, 0)
         if self.extra_delay_ns:
             if at < floor:
                 at = floor
-            self._fifo_floor[key] = at
+            self._fifo_floor[to_side] = at
         elif at >= floor:
-            self._fifo_floor.pop(key, None)  # natural timing caught up
+            self._fifo_floor.pop(to_side, None)  # natural timing caught up
         else:
             # Still draining: clamp to the last spiked delivery and keep
             # the floor until un-spiked deliveries naturally pass it.
             at = floor
-        self.sim.schedule_at(at, self._deliver, receiver, packet)
+        self.sim.schedule_at(at, self._deliver, self._receivers[to_side],
+                             packet)
 
-    def _deliver(self, receiver: LinkEndpoint, packet: Packet) -> None:
+    def _deliver(self, receive: Callable[[Packet], Any],
+                 packet: Packet) -> None:
+        """The modeled delivery site: every packet a link carries reaches
+        its receiving endpoint here, in one call."""
         self.packets_delivered += 1
-        # statics: allow[SIM003] this IS the modeled delivery site every other path must route through
-        receiver.receive_from_link(packet, self)
+        receive(packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         names = [e.endpoint_name if e else "?" for e in self._endpoints]

@@ -52,8 +52,8 @@ class Host:
         self.sim = sim
         self.name = name
         self.link: Optional[Link] = None
-        self._nic = _EgressQueue(sim, transmit=self._transmit,
-                                 ser_fn=self._serialization_ns)
+        #: Unwired until :meth:`connect` binds it to the link.
+        self._nic = _EgressQueue(sim)
         self.received: dict[FlowKey, FlowRecord] = {}
         self.packets_received = 0
         self.bytes_received = 0
@@ -80,12 +80,17 @@ class Host:
         return self.name
 
     def connect(self, link: Link) -> None:
+        """Wire the NIC to ``link``, once: it transmits straight onto the
+        link at the link's serialisation rate, and the link delivers
+        straight to :meth:`receive_from_link`."""
         if self.link is not None:
             raise RuntimeError(f"host {self.name} already connected")
         self.link = link
-        link.attach(self)
+        self._nic.transmit = link.attach(self, self.receive_from_link)
+        self._nic.ser_fn = link.packet_serialization_ns
 
-    def receive_from_link(self, packet: Packet, link: Link) -> None:
+    def receive_from_link(self, packet: Packet,
+                          link: Optional[Link] = None) -> None:
         if packet.snapshot is not None:
             # Defensive: headers must be stripped before host delivery.
             packet.strip_snapshot_header()
@@ -125,14 +130,6 @@ class Host:
         if packet.ttl is None and self.default_ttl is not None:
             packet.ttl = self.default_ttl
         self._nic.push(packet)
-
-    def _serialization_ns(self, packet: Packet) -> int:
-        ns = self.link.serialization_ns(packet.size_bytes)
-        return ns if ns > 0 else 1
-
-    def _transmit(self, packet: Packet) -> None:
-        assert self.link is not None
-        self.link.transmit(self, packet)
 
     def send_flow(self, dst: str, num_packets: int, *, sport: int, dport: int,
                   size_bytes: int = 1500, gap_ns: int = 0,

@@ -193,8 +193,7 @@ class Network:
             if scope is not None and not scope.owns(name):
                 continue
             cfg = SwitchConfig(**{**self.config.switch_config.__dict__,
-                                  "num_ports": topo.degree(name),
-                                  "enable_tracing": self.config.enable_tracing})
+                                  "num_ports": topo.degree(name)})
             self.switches[name] = Switch(self.sim, name, cfg,
                                          lb=lb_factory(index))
             self.ptp.attach(name)

@@ -115,7 +115,7 @@ class ShardPlan:
 class BoundaryLink(Link):
     """One shard's stub for a cut link.
 
-    Only the local endpoint is attached.  :meth:`transmit` applies the
+    Only the local endpoint is attached.  Its sender applies the
     link's up/loss state exactly like a real link, then *captures* the
     packet with its computed arrival time instead of scheduling local
     delivery; the coordinator carries the captured batch to the peer
@@ -131,7 +131,7 @@ class BoundaryLink(Link):
         self._outbox: list[tuple[int, Packet]] = []
         self._out_floor = 0
 
-    def transmit(self, sender, packet: Packet) -> bool:
+    def _send(self, to_side: int, packet: Packet) -> bool:
         if not self.up:
             self.packets_dropped += 1
             return False
@@ -154,11 +154,11 @@ class BoundaryLink(Link):
     def inject(self, deliver_at: int, packet: Packet) -> None:
         """Schedule delivery of an inbound cross-shard packet to the
         local endpoint (called in coordinator-merged order)."""
-        receiver = self._endpoints[0]
-        if receiver is None:
+        receive = self._receivers[0]
+        if receive is None:
             raise RuntimeError(f"boundary link {self.name!r} has no "
                                "local endpoint")
-        self.sim.inject_at(deliver_at, self._deliver, receiver, packet)
+        self.sim.inject_at(deliver_at, self._deliver, receive, packet)
 
 
 class ShardScope:

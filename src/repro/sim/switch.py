@@ -32,7 +32,8 @@ from typing import Optional, Protocol
 
 from repro.sim.engine import Simulator, US
 from repro.sim.channel import Link
-from repro.sim.packet import Packet, PacketType
+from repro.sim.packet import (_HEADER_POOL, _HEADER_POOL_MAX, Packet,
+                              PacketType, SnapshotHeader)
 
 #: Enum members cached at module level: the per-packet fast path does
 #: identity checks against these instead of attribute-chasing the enum.
@@ -141,11 +142,15 @@ class CounterSet:
 
     def __init__(self) -> None:
         self._counters: dict[str, "CounterLike"] = {}
+        #: Bound ``update`` methods in attach order: the unit bodies
+        #: loop over this per measured packet.
+        self.updates: tuple[Callable[[Packet, int], None], ...] = ()
 
     def add(self, name: str, counter: "CounterLike") -> None:
         if name in self._counters:
             raise ValueError(f"counter {name!r} already attached")
         self._counters[name] = counter
+        self.updates += (counter.update,)
 
     def get(self, name: str) -> "CounterLike":
         return self._counters[name]
@@ -155,10 +160,6 @@ class CounterSet:
 
     def names(self) -> list[str]:
         return sorted(self._counters)
-
-    def update_all(self, packet: Packet, now_ns: int) -> None:
-        for counter in self._counters.values():
-            counter.update(packet, now_ns)
 
     def read(self, name: str) -> int:
         """Read a counter's current value (the control-plane register read
@@ -198,9 +199,6 @@ class SwitchConfig:
     #: models an unbounded buffer.  Drops are one of the non-idealities
     #: the snapshot protocol explicitly tolerates (§4.2, §6).
     queue_capacity_packets: Optional[int] = None
-    #: Record per-packet traces through snapshot units (memory-hungry;
-    #: enabled by consistency tests, off for the big experiments).
-    enable_tracing: bool = False
 
 
 class _EgressQueue:
@@ -264,23 +262,28 @@ class _EgressQueue:
     def push(self, packet: Packet) -> bool:
         """Enqueue a packet on its class's lane.
 
-        Returns False on a tail drop (buffer at capacity).
+        Returns False on a tail drop (buffer at capacity).  A packet
+        pushed onto an idle, unpaused queue goes straight into service:
+        nothing is waiting, so it is the one the lanes would yield.
         """
-        depth = self._waiting + (1 if self.busy else 0)
-        if (self.capacity_packets is not None
-                and depth >= self.capacity_packets):
+        depth = self._waiting + 1 if self.busy else self._waiting
+        capacity = self.capacity_packets
+        if capacity is not None and depth >= capacity:
             self.packets_dropped += 1
             return False
+        if depth + 1 > self.max_depth_packets:
+            self.max_depth_packets = depth + 1
+        if not depth and not self.paused:
+            self.busy = True
+            ser = self.ser_fn(packet)
+            self.sim.schedule_fast(ser if ser > 0 else 1, self._finish, packet)
+            return True
         lane = self._only_lane
         if lane is None:
             lane = self._lanes[self._lane_of(packet)]
         lane.append(packet)
         self._waiting += 1
         self.queued_bytes += packet.size_bytes
-        if depth + 1 > self.max_depth_packets:
-            self.max_depth_packets = depth + 1
-        if not self.busy and not self.paused:
-            self._start_next()
         return True
 
     def _pop(self) -> Optional[Packet]:
@@ -298,9 +301,6 @@ class _EgressQueue:
         return None
 
     def _start_next(self) -> None:
-        if self.paused:
-            self.busy = False
-            return
         packet = self._pop()
         if packet is None:
             self.busy = False
@@ -314,7 +314,10 @@ class _EgressQueue:
         self.packets_sent += 1
         self.bytes_sent += packet.size_bytes
         self.transmit(packet)
-        self._start_next()
+        if self._waiting and not self.paused:
+            self._start_next()
+        else:
+            self.busy = False
 
     def pause(self) -> None:
         """Stall the dequeue side (the in-service packet still completes)."""
@@ -342,24 +345,22 @@ class _ProcessingUnit:
     def snapshot_enabled(self) -> bool:
         return self.snapshot_agent is not None
 
-    def _run_snapshot(self, packet: Packet, channel_id: int) -> None:
-        """Apply the snapshot agent to the packet's header, if any."""
-        agent = self.snapshot_agent
-        header = packet.snapshot
-        if agent is None or header is None:
-            return
+    def _run_snapshot(self, agent: SnapshotAgent, header: SnapshotHeader,
+                      packet: Packet, channel_id: int,
+                      sink: Callable[[TraceEvent], None]) -> None:
+        """Apply the snapshot agent to the packet's header and emit the
+        pass to the trace sink (the traced path; untraced unit bodies
+        call the agent inline)."""
         now = self.switch.sim.now
         carried = header.sid
         new_sid = agent.process_packet(packet, channel_id, now)
         header.sid = new_sid
-        sink = self.switch.trace_sink
-        if sink is not None:
-            sink(TraceEvent(
-                packet_uid=packet.uid, unit=self.unit_id, time_ns=now,
-                carried_sid=carried, unit_sid_after=new_sid,
-                channel=channel_id,
-                is_data=header.packet_type is _DATA,
-                size_bytes=packet.size_bytes))
+        sink(TraceEvent(
+            packet_uid=packet.uid, unit=self.unit_id, time_ns=now,
+            carried_sid=carried, unit_sid_after=new_sid,
+            channel=channel_id,
+            is_data=header.packet_type is _DATA,
+            size_bytes=packet.size_bytes))
 
     def read_counter(self, name: str) -> int:
         return self.counters.read(name)
@@ -378,26 +379,26 @@ class IngressUnit(_ProcessingUnit):
     def handle_packet(self, packet: Packet) -> None:
         self.packets_processed += 1
         sw = self.switch
-        snapshot = packet.snapshot
-        is_initiation = (snapshot is not None and
-                         snapshot.packet_type is _INITIATION)
+        header = packet.snapshot
         # Protocol-internal packets (initiations and liveness probes)
         # drive snapshot state but are not measured traffic: they bypass
         # the unit counters, keeping port counters conserved across each
         # link (a probe may enter an ingress straight from the CPU, so
         # counting it would break the receiver ⊆ sender invariant that
-        # analysis.invariants.LinkAudit checks).
-        is_measured = snapshot is None or snapshot.packet_type is _DATA
+        # analysis.invariants.LinkAudit checks).  A headerless packet is
+        # measured DATA.
+        kind = _DATA if header is None else header.packet_type
 
-        if self.snapshot_agent is not None:
-            if snapshot is None:
+        agent = self.snapshot_agent
+        if agent is not None:
+            if header is None:
                 # First snapshot-enabled hop on this packet's path: push a
                 # header carrying our current epoch.  A fresh header never
                 # triggers a snapshot (sid equality) but does refresh the
                 # external channel's last-seen entry, which is sound: host
                 # channels carry no tagged in-flight packets, so every
                 # host packet tagged here belongs to the current epoch.
-                packet.push_snapshot_header(sid=self.snapshot_agent.sid)
+                header = packet.push_snapshot_header(sid=agent.sid)
             # Each CoS lane of the external link is its own FIFO logical
             # channel (§4.1); with one lane this reduces to
             # EXTERNAL_CHANNEL == 0.  A probe injected by our *own* CPU
@@ -406,24 +407,28 @@ class IngressUnit(_ProcessingUnit):
             # spoof the gate open while genuinely old packets are still
             # in flight from the neighbor (a probe that crossed the wire
             # arrived behind them, so the external lane is correct).
-            if is_initiation or (not is_measured
-                                 and packet.flow.src == sw._cpu_src):
+            if kind is not _DATA and (kind is _INITIATION
+                                      or packet.flow.src == sw._cpu_src):
                 channel = CPU_CHANNEL
             else:
                 channel = 0 if sw._single_cos else sw.cos_lane(packet)
-            self._run_snapshot(packet, channel)
-        elif is_initiation:
+            sink = sw.trace_sink
+            if sink is None:
+                header.sid = agent.process_packet(packet, channel, sw.sim.now)
+            else:
+                self._run_snapshot(agent, header, packet, channel, sink)
+        elif kind is _INITIATION:
             # A disabled unit should never see initiations; drop defensively.
             return
 
-        if is_measured:
-            counters = self.counters._counters
-            if counters:
+        if kind is _DATA:
+            updates = self.counters.updates
+            if updates:
                 now = sw.sim.now
-                for counter in counters.values():
-                    counter.update(packet, now)
+                for update in updates:
+                    update(packet, now)
 
-        if is_initiation:
+        if kind is _INITIATION:
             # Initiation travels CPU → ingress → egress of the *same* port
             # (Figure 6, path 3) and is dropped there after processing.
             sw.sim.schedule_fast(sw._ingress_fabric_ns,
@@ -499,54 +504,53 @@ class EgressUnit(_ProcessingUnit):
 
     def __init__(self, switch: "Switch", port: int) -> None:
         super().__init__(switch, port, Direction.EGRESS)
+        #: Unwired until :meth:`Port.connect` binds the queue's transmit
+        #: and serialisation to the link.
         self.queue = _EgressQueue(
-            switch.sim, transmit=self._transmit,
-            ser_fn=self._serialization_ns,
-            num_cos=switch.config.num_cos,
+            switch.sim, num_cos=switch.config.num_cos,
             capacity_packets=switch.config.queue_capacity_packets)
         #: Set during wiring: True when the link peer cannot parse the
         #: snapshot header (hosts always; disabled switches under partial
         #: deployment).
         self.strip_header_for_peer = True
 
-    def _serialization_ns(self, packet: Packet) -> int:
-        link = self.switch.ports[self.port_index].link
-        ns = link.serialization_ns(packet.size_bytes)
-        return ns if ns > 0 else 1
-
     def handle_packet(self, packet: Packet, from_ingress_port: int) -> None:
         self.packets_processed += 1
         sw = self.switch
-        snapshot = packet.snapshot
-        is_initiation = (snapshot is not None and
-                         snapshot.packet_type is _INITIATION)
+        header = packet.snapshot
+        kind = _DATA if header is None else header.packet_type
 
-        if self.snapshot_agent is not None:
-            if is_initiation:
+        agent = self.snapshot_agent
+        if agent is not None and header is not None:
+            if kind is _INITIATION:
                 channel = CPU_CHANNEL
             elif sw._single_cos:
                 channel = from_ingress_port
             else:
                 channel = sw.egress_channel_id(from_ingress_port,
                                                sw.cos_lane(packet))
-            self._run_snapshot(packet, channel)
+            sink = sw.trace_sink
+            if sink is None:
+                header.sid = agent.process_packet(packet, channel, sw.sim.now)
+            else:
+                self._run_snapshot(agent, header, packet, channel, sink)
 
-        if is_initiation:
+        if kind is _INITIATION:
             # "...the egress unit ... drops the packet after processing" (§6)
             return
 
         # Probes are protocol-internal, never measured traffic (see the
         # ingress-side note): skip the unit counters so per-link counts
         # stay conserved even when floods die here (TTL exhausted).
-        if snapshot is None or snapshot.packet_type is _DATA:
-            counters = self.counters._counters
-            if counters:
+        if kind is _DATA:
+            updates = self.counters.updates
+            if updates:
                 now = sw.sim.now
-                for counter in counters.values():
-                    counter.update(packet, now)
+                for update in updates:
+                    update(packet, now)
 
-        link = sw.ports[self.port_index].link
-        if link is None:
+        queue = self.queue
+        if queue.transmit is None:
             sw.packets_unroutable += 1
             return
         if packet.flow.dst == BROADCAST_DST:
@@ -556,13 +560,12 @@ class EgressUnit(_ProcessingUnit):
             if ttl <= 0 or self.strip_header_for_peer:
                 return
             packet.payload = ttl - 1
-        if self.strip_header_for_peer:
-            packet.strip_snapshot_header()
-        self.queue.push(packet)
-
-    def _transmit(self, packet: Packet) -> None:
-        port = self.switch.ports[self.port_index]
-        port.link.transmit(port, packet)
+        if self.strip_header_for_peer and header is not None:
+            # Pop the header and recycle it (it is referenced nowhere else).
+            packet.snapshot = None
+            if len(_HEADER_POOL) < _HEADER_POOL_MAX:
+                _HEADER_POOL.append(header)
+        queue.push(packet)
 
     # Queue depth is a first-class metric (§1, §2.2 examples).
     @property
@@ -589,15 +592,17 @@ class Port:
     def endpoint_name(self) -> str:
         return f"{self.switch.name}:{self.index}"
 
-    def receive_from_link(self, packet: Packet, link: Link) -> None:
-        # statics: allow[SIM003] the port's link-facing entry point handing off to its own ingress unit
-        self.ingress.handle_packet(packet)
-
     def connect(self, link: Link) -> None:
+        """Wire the port to ``link``, once: the link delivers inbound
+        packets straight to the ingress unit, and the egress queue
+        transmits straight onto the link at the link's serialisation
+        rate."""
         if self.link is not None:
             raise RuntimeError(f"port {self.endpoint_name} already connected")
         self.link = link
-        link.attach(self)
+        queue = self.egress.queue
+        queue.transmit = link.attach(self, self.ingress.handle_packet)
+        queue.ser_fn = link.packet_serialization_ns
 
 
 class LoadBalancer(Protocol):
@@ -821,20 +826,21 @@ class Switch:
         matching staged rule set uses it in preference to the base FIB;
         staged rules are tagged with the generation they will commit as.
         """
+        dst = packet.flow.dst
         tag = packet.route_tag
         if tag is not None and self.staged_routes:
             staged = self.staged_routes.get(tag)
             if staged is not None:
-                candidates = staged.get(packet.dst)
+                candidates = staged.get(dst)
                 if candidates is not None:
                     self.last_matched_version[in_port] = self.fib_generation + 1
                     if len(candidates) == 1:
                         return candidates[0]
                     return self.lb.select(candidates, packet, self.sim.now)
-        candidates = self.routes.get(packet.dst)
+        candidates = self.routes.get(dst)
         if not candidates:
             return None
-        self.last_matched_version[in_port] = self.route_version[packet.dst]
+        self.last_matched_version[in_port] = self.route_version[dst]
         if len(candidates) == 1:
             return candidates[0]
         return self.lb.select(candidates, packet, self.sim.now)

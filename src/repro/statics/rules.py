@@ -605,10 +605,11 @@ class FifoBypassRule(Rule):
     ``receive_from_link`` call, or scheduling either as a callback)
     injects a packet that no link carried: it skips FIFO ordering,
     loss/up state, and the cut-link capture that sharding depends on.
-    The modeled delivery sites (``Link._deliver``,
-    ``Port.receive_from_link``, the control plane's initiation/probe
-    injectors, which model the switch CPU's internal port) carry
-    reasoned pragmas.
+    ``Link._deliver`` is the modeled delivery site: it calls the
+    receiver the endpoint bound at ``Link.attach`` (a port binds its
+    ingress unit), so no unit call appears there.  The control plane's
+    initiation/probe injectors, which model the switch CPU's internal
+    port, carry reasoned pragmas.
 
     Light interprocedural coverage: a same-module *function* whose
     parameter is called as ``param.handle_packet(...)`` marks that

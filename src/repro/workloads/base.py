@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.sim.engine import S, Simulator
+from repro.sim.engine import S, Simulator, exact_ns
 from repro.sim.network import Network
 from repro.sim.packet import FlowKey, Packet
 
@@ -84,26 +84,36 @@ class Workload(abc.ABC):
     def emit(self, src: str, dst: str, *, sport: int, dport: int,
              size_bytes: int, seq: int = 0, proto: int = 6) -> None:
         """Send one packet now (subject to the NIC's pacing)."""
-        if not self.active:
+        network = self.network
+        if network.sim.now >= self.config.stop_ns:  # inactive
             return
-        host = self.network.host(src)
         flow = FlowKey(src, dst, sport, dport, proto)
-        host.send_packet(Packet(flow=flow, size_bytes=size_bytes, seq=seq))
+        network.hosts[src].send_packet(
+            Packet(flow=flow, size_bytes=size_bytes, seq=seq))
         self.packets_emitted += 1
 
     def emit_burst(self, src: str, dst: str, *, sport: int, dport: int,
                    num_packets: int, size_bytes: int, gap_ns: int) -> None:
         """Emit ``num_packets`` spaced ``gap_ns`` apart (one transfer)."""
-        def send(seq: int) -> None:
-            if not self.active:
-                return
-            self.emit(src, dst, sport=sport, dport=dport,
-                      size_bytes=size_bytes, seq=seq)
-            if seq + 1 < num_packets:
-                self.sim.schedule(max(gap_ns, 1), send, seq + 1)
+        if num_packets <= 0:
+            return
+        gap = max(gap_ns, 1)
+        if num_packets > 1 and type(gap) is not int:
+            gap = exact_ns(gap, "gap_ns")
+        sim = self.sim
+        config = self.config
+        host = self.network.hosts[src]
+        flow = FlowKey(src, dst, sport, dport)
 
-        if num_packets > 0:
-            send(0)
+        def send(seq: int) -> None:
+            if sim.now >= config.stop_ns:  # inactive
+                return
+            host.send_packet(Packet(flow=flow, size_bytes=size_bytes, seq=seq))
+            self.packets_emitted += 1
+            if seq + 1 < num_packets:
+                sim.schedule_fast(gap, send, seq + 1)
+
+        send(0)
 
     def exp_delay(self, mean_ns: float) -> int:
         """An exponentially distributed delay (Poisson process gap)."""

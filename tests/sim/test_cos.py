@@ -36,6 +36,21 @@ class TestPriorityQueue:
         # ahead of the remaining low-priority ones.
         assert [p.seq for p in sent] == [0, 99, 1, 2]
 
+    def test_strict_priority_after_idle_fast_path(self):
+        sim, queue, sent = self._queue()
+        # The first packet enters service straight from idle; the rest
+        # queue behind it and must still drain highest class first.
+        queue.push(_pkt(cos=0, seq=0))
+        assert queue.busy and queue.lane_depth(0) == 0
+        queue.push(_pkt(cos=0, seq=1))
+        queue.push(_pkt(cos=1, seq=2))
+        queue.push(_pkt(cos=0, seq=3))
+        queue.push(_pkt(cos=1, seq=4))
+        assert queue.depth_packets == 5
+        assert queue.max_depth_packets == 5
+        sim.run()
+        assert [p.seq for p in sent] == [0, 2, 4, 1, 3]
+
     def test_fifo_within_a_class(self):
         sim, queue, sent = self._queue()
         for seq in range(5):

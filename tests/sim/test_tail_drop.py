@@ -41,6 +41,71 @@ class TestQueueCapacity:
         sim.run()
         assert [p.seq for p in sent] == [0, 1, 3]
 
+    def test_push_onto_idle_queue_goes_straight_into_service(self):
+        sim = Simulator()
+        sent = []
+        queue = _EgressQueue(sim, transmit=sent.append,
+                             ser_fn=lambda p: 1000)
+        assert queue.push(_pkt(0))
+        assert queue.busy
+        assert queue.depth_packets == 1
+        assert queue.queued_bytes == 0
+        assert queue.max_depth_packets == 1
+        sim.run()
+        assert [p.seq for p in sent] == [0]
+        assert not queue.busy and queue.depth_packets == 0
+
+    def test_second_push_while_busy_is_dropped_at_capacity_one(self):
+        sim = Simulator()
+        sent = []
+        queue = _EgressQueue(sim, transmit=sent.append,
+                             ser_fn=lambda p: 1000, capacity_packets=1)
+        assert queue.push(_pkt(0))
+        assert not queue.push(_pkt(1))
+        assert queue.packets_dropped == 1
+        assert queue.max_depth_packets == 1
+        sim.run()
+        assert [p.seq for p in sent] == [0]
+        assert queue.push(_pkt(2))  # idle again: accepted
+        sim.run()
+        assert [p.seq for p in sent] == [0, 2]
+
+    def test_push_onto_paused_idle_queue_is_held_until_resume(self):
+        sim = Simulator()
+        sent = []
+        queue = _EgressQueue(sim, transmit=sent.append,
+                             ser_fn=lambda p: 1000)
+        queue.pause()
+        assert queue.push(_pkt(0))
+        assert queue.push(_pkt(1))
+        assert not queue.busy
+        assert queue.depth_packets == 2
+        assert queue.queued_bytes == 2000
+        assert queue.max_depth_packets == 2
+        sim.run()
+        assert sent == []
+        queue.resume()
+        assert queue.busy and queue.queued_bytes == 1000
+        sim.run()
+        assert [p.seq for p in sent] == [0, 1]
+        assert queue.queued_bytes == 0 and queue.depth_packets == 0
+
+    def test_pause_while_serving_holds_the_rest(self):
+        sim = Simulator()
+        sent = []
+        queue = _EgressQueue(sim, transmit=sent.append,
+                             ser_fn=lambda p: 1000)
+        for seq in range(3):
+            queue.push(_pkt(seq))
+        queue.pause()
+        sim.run()
+        # The in-service packet completes; the waiting ones are held.
+        assert [p.seq for p in sent] == [0]
+        assert not queue.busy and queue.depth_packets == 2
+        queue.resume()
+        sim.run()
+        assert [p.seq for p in sent] == [0, 1, 2]
+
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             _EgressQueue(Simulator(), capacity_packets=0)
